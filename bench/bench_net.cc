@@ -43,6 +43,7 @@
 #include "core/dssddi_system.h"
 #include "data/chronic_cohort.h"
 #include "data/dataset.h"
+#include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -646,7 +647,7 @@ int main(int argc, char** argv) {
       const std::string shard_model =
           "/tmp/dssddi_bench_net_model_" +
           std::to_string(static_cast<int>(::getpid())) + ".dssb";
-      if (const io::Status saved = io::SaveInferenceBundle(shard_model, bundle);
+      if (const io::Status saved = io::SaveInferenceBundleV4(shard_model, bundle);
           !saved.ok) {
         std::printf("\nshards grid: could not export model: %s — skipped\n",
                     saved.message.c_str());

@@ -1,20 +1,20 @@
-// bundle_convert: rewrites an inference bundle as a flat v4 file that
-// servers mmap instead of parsing (see io/bundle_v4.h for the layout).
+// bundle_convert: re-packs a v4 inference bundle into a fresh flat v4
+// file that servers mmap instead of parsing (see io/bundle_v4.h for the
+// layout).
 //
-//   bundle_convert <input.dssb> <output_v4.dssb> [--selftest]
-//   bundle_convert --synthetic <output_v3.dssb>
+//   bundle_convert <input.dssb> <output.dssb> [--selftest]
+//   bundle_convert --synthetic <output.dssb>
 //
-// The input may be either format (a v4 input makes this a re-pack). With
-// --selftest the tool re-verifies the artifact it just wrote: section
+// With --selftest the tool re-verifies the artifact it just wrote: section
 // checksums, then a zero-copy reload scored bit-identically against the
 // source bundle on a deterministic probe batch, in both float and int8
 // modes. This is the offline integrity pass the O(pages) loader skips by
 // design, and what scripts/check.sh runs in CI.
 //
-// --synthetic writes a small random-weight v3 bundle with the full
+// --synthetic writes a small random-weight v4 bundle with the full
 // production shape (two MLPs, drug reps, centroids, treatment matrix,
-// signed DDI graph, int8 companion) — a deterministic conversion input
-// for CI that skips the minutes of training a real model needs.
+// signed DDI graph, int8 companion) — a deterministic re-pack input for
+// CI that skips the minutes of training a real model needs.
 
 #include <cstdio>
 #include <cstring>
@@ -53,7 +53,7 @@ bool ScoresAgree(const dssddi::io::InferenceBundle& source,
   if (!actual.SameShape(expected) ||
       std::memcmp(actual.ReadPtr(), expected.ReadPtr(),
                   expected.data().size() * sizeof(float)) != 0) {
-    std::fprintf(stderr, "selftest: %s scores diverge after conversion\n",
+    std::fprintf(stderr, "selftest: %s scores diverge after re-pack\n",
                  label);
     return false;
   }
@@ -63,7 +63,7 @@ bool ScoresAgree(const dssddi::io::InferenceBundle& source,
 }
 
 // A small random-weight bundle with every section populated; shape over
-// quality, since conversion fidelity is what downstream checks probe.
+// quality, since re-pack fidelity is what downstream checks probe.
 dssddi::io::InferenceBundle MakeSyntheticBundle() {
   using namespace dssddi;
   util::Rng rng(20260809);
@@ -139,19 +139,19 @@ int main(int argc, char** argv) {
     }
     const dssddi::io::InferenceBundle bundle = MakeSyntheticBundle();
     if (const dssddi::io::Status status =
-            dssddi::io::SaveInferenceBundle(input, bundle);
+            dssddi::io::SaveInferenceBundleV4(input, bundle);
         !status.ok) {
       std::fprintf(stderr, "cannot write %s: %s\n", input.c_str(),
                    status.message.c_str());
       return 1;
     }
-    std::printf("wrote synthetic v3 bundle to %s (%d drugs)\n", input.c_str(),
+    std::printf("wrote synthetic v4 bundle to %s (%d drugs)\n", input.c_str(),
                 bundle.num_drugs());
     return 0;
   }
   if (input.empty() || output.empty()) {
     std::fprintf(stderr,
-                 "usage: bundle_convert <input.dssb> <output_v4.dssb> "
+                 "usage: bundle_convert <input.dssb> <output.dssb> "
                  "[--selftest]\n"
                  "       bundle_convert --synthetic <output.dssb>\n");
     return 2;

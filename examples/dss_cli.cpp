@@ -22,6 +22,7 @@
 #include "data/catalog.h"
 #include "data/chronic_cohort.h"
 #include "data/dataset.h"
+#include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 
 int main(int argc, char** argv) {
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
     system.Fit(dataset);
 
     bundle = io::ExtractInferenceBundle(system, dataset);
-    if (io::Status status = io::SaveInferenceBundle(model_path, bundle); !status.ok) {
+    if (io::Status status = io::SaveInferenceBundleV4(model_path, bundle); !status.ok) {
       std::printf("warning: could not save model: %s\n", status.message.c_str());
     } else {
       std::printf("model exported to %s\n", model_path.c_str());

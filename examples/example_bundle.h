@@ -12,6 +12,7 @@
 #include "core/dssddi_system.h"
 #include "data/chronic_cohort.h"
 #include "data/dataset.h"
+#include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 
 namespace dssddi::examples {
@@ -35,7 +36,7 @@ inline io::InferenceBundle LoadOrTrainBundle(const std::string& path) {
   core::DssddiSystem system(config);
   system.Fit(dataset);
   bundle = io::ExtractInferenceBundle(system, dataset);
-  if (const io::Status status = io::SaveInferenceBundle(path, bundle);
+  if (const io::Status status = io::SaveInferenceBundleV4(path, bundle);
       !status.ok) {
     std::printf("warning: could not save bundle: %s\n", status.message.c_str());
   } else {

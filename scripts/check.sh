@@ -76,18 +76,18 @@ lint_metric_names() {
 echo "== metric-naming lint (src/) =="
 lint_metric_names
 
-# v3 -> v4 conversion gate: write a synthetic v3 bundle, convert it to
-# the flat mmap format, and insist the zero-copy reload verifies its
-# section checksums and scores bit-identically to the source in both
-# float and int8 modes. This is the offline integrity pass the O(pages)
-# v4 loader intentionally skips at serve time.
+# Bundle re-pack gate: write a synthetic v4 bundle, re-pack it, and
+# insist the zero-copy reload verifies its section checksums and scores
+# bit-identically to the source in both float and int8 modes. This is
+# the offline integrity pass the O(pages) v4 loader intentionally skips
+# at serve time.
 run_convert_selftest() {
   local dir="$1"
-  echo "== bundle v3 -> v4 conversion selftest (${dir}) =="
+  echo "== bundle v4 re-pack selftest (${dir}) =="
   local tmp
   tmp=$(mktemp -d)
-  "$dir"/examples/bundle_convert --synthetic "$tmp/model_v3.dssb"
-  "$dir"/examples/bundle_convert "$tmp/model_v3.dssb" "$tmp/model_v4.dssb" \
+  "$dir"/examples/bundle_convert --synthetic "$tmp/model.dssb"
+  "$dir"/examples/bundle_convert "$tmp/model.dssb" "$tmp/model_repacked.dssb" \
     --selftest
   rm -rf "$tmp"
 }

@@ -6,7 +6,6 @@
 namespace dssddi::io {
 namespace {
 
-constexpr uint32_t kFrameMagic = 0x44535344;  // "DSSD" little-endian
 constexpr uint32_t kFrameHeaderVersion = 1;
 
 // Encodes an IEEE-754 float as its bit pattern for endian-stable writes.
@@ -169,7 +168,7 @@ Status WriteStringToFile(const std::string& path, const std::string& data) {
 Status WriteFramedFile(const std::string& path, uint32_t format_id,
                        uint32_t version, const std::string& payload) {
   BinaryWriter frame;
-  frame.WriteU32(kFrameMagic);
+  frame.WriteU32(kFramedFileMagic);
   frame.WriteU32(kFrameHeaderVersion);
   frame.WriteU32(format_id);
   frame.WriteU32(version);
@@ -194,7 +193,7 @@ Status ReadFramedFile(const std::string& path, uint32_t format_id,
   const uint64_t payload_size = reader.ReadU64();
   const uint64_t checksum = reader.ReadU64();
   if (!reader.ok()) return Status::Error("truncated header: " + path);
-  if (magic != kFrameMagic) return Status::Error("not a DSSDDI file: " + path);
+  if (magic != kFramedFileMagic) return Status::Error("not a DSSDDI file: " + path);
   if (header_version != kFrameHeaderVersion) {
     return Status::Error("unsupported frame version: " + path);
   }

@@ -17,6 +17,10 @@ struct Status {
   explicit operator bool() const { return ok; }
 };
 
+/// First u32 of every framed file (WriteFramedFile): "DSSD" read as a
+/// little-endian u32.
+inline constexpr uint32_t kFramedFileMagic = 0x44535344;
+
 /// 64-bit FNV-1a hash over `data`, used as the payload checksum in every
 /// DSSDDI file so truncation and bit-rot are detected at load time.
 uint64_t Fnv1a64(const char* data, size_t size);

@@ -29,7 +29,7 @@ static_assert(sizeof(int) == 4, "graph CSR views reinterpret i32 as int");
 constexpr uint64_t kHeaderBytes = 32;
 constexpr uint64_t kSectionEntryBytes = 32;
 constexpr uint32_t kMaxSections = 64;
-constexpr uint32_t kMaxLayers = 64;            // matches the v3 codecs
+constexpr uint32_t kMaxLayers = 64;
 constexpr uint32_t kMaxDim = 1u << 27;         // per-axis element cap
 constexpr uint32_t kMaxGraphCount = 1u << 27;  // vertices / edges cap
 
@@ -123,10 +123,9 @@ std::string BuildMlpSection(const FrozenMlp& mlp) {
 }
 
 std::string BuildQuantSection(const QuantizedMlp& mlp) {
-  // Unlike the v3 codec (which stores layout-agnostic column-major int8
-  // and repacks on every load), v4 stores the packed tile layout the
-  // kernel consumes directly — it is deterministic and ISA-independent
-  // (see qgemm.h), so mapped weights serve with zero repacking.
+  // Stores the packed tile layout the kernel consumes directly — it is
+  // deterministic and ISA-independent (see qgemm.h), so mapped weights
+  // serve with zero repacking.
   const size_t num_layers = mlp.layers.size();
   const uint64_t descriptor_bytes = 4 + 48 * num_layers;
   struct LayerOffsets {
@@ -312,6 +311,12 @@ Status ParseSectionTable(const MmapFile& mapping, const std::string& path,
   const uint64_t file_size = r.U64();
   const uint32_t section_count = r.U32();
   r.U32();  // reserved
+  if (magic == kFramedFileMagic && format_id == kFormatInferenceBundle) {
+    return Status::Error(
+        "retired v3 bundle format (framed \"DSSD\" file) is no longer "
+        "loadable; re-export the model with SaveInferenceBundleV4: " +
+        path);
+  }
   if (magic != kBundleV4Magic) return malformed("bad magic");
   if (header_version != kBundleV4HeaderVersion) {
     return malformed("unsupported header version");
@@ -588,6 +593,63 @@ bool ParseGraphSection(const SectionRef& sec, InferenceBundle* bundle,
   }
   bundle->has_ms_skeleton = true;
   return true;
+}
+
+/// Semantic validation after parsing: cross-field dimension consistency,
+/// MLP layer-shape chains, and (when a quantized companion was shipped)
+/// float/quantized agreement. Never touches tensor payload bytes, so the
+/// load stays O(pages touched).
+Status ValidateLoadedBundle(const InferenceBundle& bundle,
+                            const std::string& path, bool has_quantized) {
+  if (bundle.ms_explainer < 0 || bundle.ms_explainer > 1) {
+    return Status::Error("malformed bundle payload: " + path);
+  }
+  // Cross-field consistency so a loaded bundle cannot index out of range.
+  if (bundle.ddi.num_vertices() != bundle.num_drugs() ||
+      bundle.cluster_treatment.cols() != bundle.num_drugs() ||
+      bundle.final_drug_reps.cols() != bundle.hidden_dim ||
+      (!bundle.drug_names.empty() &&
+       static_cast<int>(bundle.drug_names.size()) != bundle.num_drugs())) {
+    return Status::Error("inconsistent bundle dimensions: " + path);
+  }
+  // The extent/alignment checks of the section parsers catch corruption;
+  // these shape checks catch semantically impossible bundles that would
+  // otherwise abort (layer-width CHECK) or read out of bounds (a decoder
+  // emitting zero columns) at scoring time. Untrusted files must fail
+  // here, at load, with a Status.
+  const auto chain_ok = [](const FrozenMlp& mlp, int in_width, int out_width) {
+    int width = in_width;
+    for (const auto& layer : mlp.layers) {
+      if (layer.weight.rows() != width) return false;
+      width = layer.weight.cols();
+    }
+    return out_width < 0 || width == out_width;
+  };
+  const int feature_width = bundle.cluster_centroids.cols();
+  const int interaction_dim = bundle.mlp_decoder ? bundle.hidden_dim : 1;
+  if (!chain_ok(bundle.patient_fc, feature_width, bundle.hidden_dim) ||
+      !chain_ok(bundle.decoder, interaction_dim + 1, 1)) {
+    return Status::Error("inconsistent bundle layer shapes: " + path);
+  }
+  // A shipped quantized section must describe exactly the float layers
+  // it rides with.
+  const auto quantized_matches = [](const FrozenMlp& mlp) {
+    if (mlp.quantized.layers.size() != mlp.layers.size()) return false;
+    for (size_t i = 0; i < mlp.layers.size(); ++i) {
+      const auto& f = mlp.layers[i];
+      const auto& q = mlp.quantized.layers[i];
+      if (q.weights.k != f.weight.rows() || q.weights.n != f.weight.cols() ||
+          q.activation != f.activation) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (has_quantized && (!quantized_matches(bundle.patient_fc) ||
+                        !quantized_matches(bundle.decoder))) {
+    return Status::Error("quantized section disagrees with float layers: " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace

@@ -73,7 +73,9 @@ struct InferenceBundle;
 /// file fails with a Status at load, never a crash at query time.
 /// ---------------------------------------------------------------------
 
-/// "DSD4" read as a little-endian u32 (the v3 framed magic is "DSSD").
+/// "DSD4" read as a little-endian u32. A file that starts with the framed
+/// magic kFramedFileMagic ("DSSD") and the inference-bundle format id is
+/// a retired v3 bundle; the loader rejects it with a re-export hint.
 inline constexpr uint32_t kBundleV4Magic = 0x34445344;
 inline constexpr uint32_t kBundleV4HeaderVersion = 1;
 inline constexpr uint32_t kBundleV4Version = 4;
@@ -104,8 +106,8 @@ Status SaveInferenceBundleV4(const std::string& path,
 /// bundle->mapping); only the small descriptors, the metadata strings
 /// and the signed DDI edge list go to the heap. With `prefault` the
 /// mapping is touched page-by-page up front, trading load latency for
-/// no first-query faults. Prefer LoadInferenceBundle, which dispatches
-/// here on the file magic and stamps format_version / load_ms.
+/// no first-query faults. Prefer LoadInferenceBundle, which resets a
+/// reused destination first and stamps format_version / load_ms.
 Status LoadInferenceBundleV4(const std::string& path, InferenceBundle* bundle,
                              bool prefault = false);
 

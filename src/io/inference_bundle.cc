@@ -2,13 +2,12 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/ms_module.h"
 #include "core/suggestion_model.h"
 #include "io/bundle_v4.h"
-#include "io/serialize.h"
 #include "obs/kernel_timing.h"
 #include "tensor/kernels/gemm_backend.h"
 #include "tensor/nn.h"
@@ -16,13 +15,6 @@
 
 namespace dssddi::io {
 namespace {
-
-// Version 2 added ms_explainer; version-1 files load with the default
-// closest-truss-community explainer. Version 3 appended the int8
-// quantized-MLP sections; older files load fine and rebuild the int8
-// companions from the float weights (deterministically, so rebuilt and
-// shipped quantizations score identical bits).
-constexpr uint32_t kBundleVersion = 3;
 
 FrozenMlp FreezeMlp(const tensor::Mlp& mlp) {
   FrozenMlp frozen;
@@ -35,41 +27,6 @@ FrozenMlp FreezeMlp(const tensor::Mlp& mlp) {
     frozen.layers.push_back(std::move(out));
   }
   return frozen;
-}
-
-void WriteFrozenMlp(BinaryWriter& writer, const FrozenMlp& mlp) {
-  writer.WriteU32(static_cast<uint32_t>(mlp.layers.size()));
-  for (const auto& layer : mlp.layers) {
-    WriteMatrix(writer, layer.weight);
-    WriteMatrix(writer, layer.bias);
-    writer.WriteI32(layer.activation);
-  }
-}
-
-bool ReadFrozenMlp(BinaryReader& reader, FrozenMlp* mlp) {
-  const uint32_t num_layers = reader.ReadU32();
-  if (!reader.ok() || num_layers > 64) {
-    reader.Fail();
-    return false;
-  }
-  // A reused destination must not keep a previous model's int8
-  // companion — it would silently score int8 with stale weights.
-  mlp->quantized.layers.clear();
-  mlp->layers.assign(num_layers, {});
-  for (auto& layer : mlp->layers) {
-    if (!ReadMatrix(reader, &layer.weight)) return false;
-    if (!ReadMatrix(reader, &layer.bias)) return false;
-    layer.activation = reader.ReadI32();
-    if (!reader.ok() || layer.activation < 0 || layer.activation > 4) {
-      reader.Fail();
-      return false;
-    }
-    if (layer.bias.rows() != 1 || layer.bias.cols() != layer.weight.cols()) {
-      reader.Fail();
-      return false;
-    }
-  }
-  return true;
 }
 
 // Nearest-centroid treatment row, matching MdModule::TreatmentRow.
@@ -213,9 +170,9 @@ core::Suggestion InferenceBundle::Suggest(const tensor::Matrix& x, int k) const 
   suggestion.drugs = core::TopKDrugs(scores, 0, k);
   suggestion.scores.reserve(suggestion.drugs.size());
   for (int d : suggestion.drugs) suggestion.scores.push_back(scores.At(0, d));
-  // A v4 bundle carries its interaction skeleton as a CSR view, so the
-  // explainer never re-sorts the DDI edges; heap bundles derive it here
-  // exactly as before.
+  // A loaded bundle carries its interaction skeleton as a CSR view, so
+  // the explainer never re-sorts the DDI edges; in-process bundles derive
+  // it here.
   const core::MsModule ms =
       has_ms_skeleton
           ? core::MsModule(ddi, ms_skeleton, ms_alpha,
@@ -249,159 +206,6 @@ InferenceBundle ExtractInferenceBundle(const core::DssddiSystem& system,
   return bundle;
 }
 
-Status SaveInferenceBundle(const std::string& path, const InferenceBundle& bundle) {
-  BinaryWriter writer;
-  writer.WriteString(bundle.display_name);
-  WriteFrozenMlp(writer, bundle.patient_fc);
-  WriteFrozenMlp(writer, bundle.decoder);
-  WriteMatrix(writer, bundle.final_drug_reps);
-  WriteMatrix(writer, bundle.cluster_centroids);
-  WriteMatrix(writer, bundle.cluster_treatment);
-  WriteSignedGraph(writer, bundle.ddi);
-  WriteStringVector(writer, bundle.drug_names);
-  writer.WriteU8(bundle.mlp_decoder ? 1 : 0);
-  writer.WriteU8(bundle.use_treatment_feature ? 1 : 0);
-  writer.WriteI32(bundle.hidden_dim);
-  writer.WriteF64(bundle.ms_alpha);
-  writer.WriteU8(static_cast<uint8_t>(bundle.ms_explainer));
-  // Version 3: the pre-quantized int8 MLPs ride along so a serving host
-  // flips to int8 without re-deriving anything. Saving a hand-assembled
-  // bundle that was never quantized writes the sections empty; the
-  // loader rebuilds them from the float weights instead.
-  const bool has_quantized =
-      !bundle.patient_fc.quantized.empty() && !bundle.decoder.quantized.empty();
-  writer.WriteU8(has_quantized ? 1 : 0);
-  if (has_quantized) {
-    WriteQuantizedMlp(writer, bundle.patient_fc.quantized);
-    WriteQuantizedMlp(writer, bundle.decoder.quantized);
-  }
-  return WriteFramedFile(path, kFormatInferenceBundle, kBundleVersion, writer.buffer());
-}
-
-namespace {
-
-// The historical framed-file loader: deserializes every byte onto the
-// heap through BinaryReader. Kept as the v3 path of the magic dispatch
-// in LoadInferenceBundle below.
-Status LoadInferenceBundleV3(const std::string& path, InferenceBundle* bundle) {
-  std::string payload;
-  uint32_t version = 0;
-  if (Status status = ReadFramedFile(path, kFormatInferenceBundle, kBundleVersion,
-                                     &payload, &version);
-      !status.ok) {
-    return status;
-  }
-  BinaryReader reader(payload);
-  bundle->display_name = reader.ReadString();
-  if (!ReadFrozenMlp(reader, &bundle->patient_fc)) {
-    return Status::Error("malformed patient encoder: " + path);
-  }
-  if (!ReadFrozenMlp(reader, &bundle->decoder)) {
-    return Status::Error("malformed decoder: " + path);
-  }
-  if (!ReadMatrix(reader, &bundle->final_drug_reps) ||
-      !ReadMatrix(reader, &bundle->cluster_centroids) ||
-      !ReadMatrix(reader, &bundle->cluster_treatment) ||
-      !ReadSignedGraph(reader, &bundle->ddi) ||
-      !ReadStringVector(reader, &bundle->drug_names)) {
-    return Status::Error("malformed bundle payload: " + path);
-  }
-  bundle->mlp_decoder = reader.ReadU8() != 0;
-  bundle->use_treatment_feature = reader.ReadU8() != 0;
-  bundle->hidden_dim = reader.ReadI32();
-  bundle->ms_alpha = reader.ReadF64();
-  bundle->ms_explainer = version >= 2 ? reader.ReadU8() : 0;
-  bool has_quantized = false;
-  if (version >= 3 && reader.ok()) has_quantized = reader.ReadU8() != 0;
-  if (has_quantized &&
-      (!ReadQuantizedMlp(reader, &bundle->patient_fc.quantized) ||
-       !ReadQuantizedMlp(reader, &bundle->decoder.quantized))) {
-    return Status::Error("malformed quantized section: " + path);
-  }
-  if (!reader.ok() || reader.remaining() != 0) {
-    return Status::Error("malformed bundle payload: " + path);
-  }
-  if (Status status = ValidateLoadedBundle(*bundle, path, has_quantized);
-      !status.ok) {
-    return status;
-  }
-  bundle->EnsureQuantized();
-  return Status::Ok();
-}
-
-// First 4 bytes of the file as a little-endian u32; 0 (matching no
-// format) when the file is missing or shorter — the v3 loader then
-// reports its canonical error for those cases, keeping failure messages
-// stable across the dispatch.
-uint32_t PeekFileMagic(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  unsigned char bytes[4];
-  const size_t got = std::fread(bytes, 1, sizeof bytes, f);
-  std::fclose(f);
-  if (got != sizeof bytes) return 0;
-  return static_cast<uint32_t>(bytes[0]) | (static_cast<uint32_t>(bytes[1]) << 8) |
-         (static_cast<uint32_t>(bytes[2]) << 16) |
-         (static_cast<uint32_t>(bytes[3]) << 24);
-}
-
-}  // namespace
-
-Status ValidateLoadedBundle(const InferenceBundle& bundle,
-                            const std::string& path, bool has_quantized) {
-  if (bundle.ms_explainer < 0 || bundle.ms_explainer > 1) {
-    return Status::Error("malformed bundle payload: " + path);
-  }
-  // Cross-field consistency so a loaded bundle cannot index out of range.
-  if (bundle.ddi.num_vertices() != bundle.num_drugs() ||
-      bundle.cluster_treatment.cols() != bundle.num_drugs() ||
-      bundle.final_drug_reps.cols() != bundle.hidden_dim ||
-      (!bundle.drug_names.empty() &&
-       static_cast<int>(bundle.drug_names.size()) != bundle.num_drugs())) {
-    return Status::Error("inconsistent bundle dimensions: " + path);
-  }
-  // The byte-level checks in each loader (section length prefixes on v3,
-  // extent/alignment validation on v4) catch corruption; these shape
-  // checks catch semantically impossible bundles that would otherwise
-  // abort (layer-width CHECK) or read out of bounds (a decoder emitting
-  // zero columns) at scoring time. Untrusted files must fail here, at
-  // load, with a Status.
-  const auto chain_ok = [](const FrozenMlp& mlp, int in_width, int out_width) {
-    int width = in_width;
-    for (const auto& layer : mlp.layers) {
-      if (layer.weight.rows() != width) return false;
-      width = layer.weight.cols();
-    }
-    return out_width < 0 || width == out_width;
-  };
-  const int feature_width = bundle.cluster_centroids.cols();
-  const int interaction_dim = bundle.mlp_decoder ? bundle.hidden_dim : 1;
-  if (!chain_ok(bundle.patient_fc, feature_width, bundle.hidden_dim) ||
-      !chain_ok(bundle.decoder, interaction_dim + 1, 1)) {
-    return Status::Error("inconsistent bundle layer shapes: " + path);
-  }
-  // A shipped quantized section must describe exactly the float layers
-  // it rides with; on any disagreement (or for pre-v3 files) the caller
-  // rebuilds from the float weights — same deterministic bits either way.
-  const auto quantized_matches = [](const FrozenMlp& mlp) {
-    if (mlp.quantized.layers.size() != mlp.layers.size()) return false;
-    for (size_t i = 0; i < mlp.layers.size(); ++i) {
-      const auto& f = mlp.layers[i];
-      const auto& q = mlp.quantized.layers[i];
-      if (q.weights.k != f.weight.rows() || q.weights.n != f.weight.cols() ||
-          q.activation != f.activation) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (has_quantized && (!quantized_matches(bundle.patient_fc) ||
-                        !quantized_matches(bundle.decoder))) {
-    return Status::Error("quantized section disagrees with float layers: " + path);
-  }
-  return Status::Ok();
-}
-
 Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle) {
   const auto start = std::chrono::steady_clock::now();
   // A reused destination (e.g. /admin/reload) must not keep a previous
@@ -411,13 +215,10 @@ Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle) {
   fresh.quantization = bundle->quantization;
   *bundle = std::move(fresh);
 
-  const bool is_v4 = PeekFileMagic(path) == kBundleV4Magic;
-  if (Status status = is_v4 ? LoadInferenceBundleV4(path, bundle)
-                            : LoadInferenceBundleV3(path, bundle);
-      !status.ok) {
+  if (Status status = LoadInferenceBundleV4(path, bundle); !status.ok) {
     return status;
   }
-  bundle->format_version = is_v4 ? 4 : 3;
+  bundle->format_version = kBundleV4Version;
   bundle->load_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start)

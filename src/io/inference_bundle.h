@@ -58,10 +58,10 @@ inline constexpr int kQuantizeAuto = -1;
 /// representations (DDI embeddings already folded in), the treatment
 /// cluster tables, and the DDI graph for Medical Support explanations.
 ///
-/// The bundle round-trips through a single framed file, so a model trained
-/// once on the full cohort can be shipped to a clinic host and queried
-/// there (`PredictScores` / `Suggest`) bit-identically to the in-process
-/// system it was extracted from.
+/// The bundle round-trips through a single flat v4 file, so a model
+/// trained once on the full cohort can be shipped to a clinic host and
+/// queried there (`PredictScores` / `Suggest`) bit-identically to the
+/// in-process system it was extracted from.
 struct InferenceBundle {
   std::string display_name;
   FrozenMlp patient_fc;
@@ -87,21 +87,21 @@ struct InferenceBundle {
   /// /admin/reload "quantize" field.
   int quantization = kQuantizeAuto;
 
-  /// Non-null iff this bundle was loaded zero-copy from a v4 file: the
-  /// matrices / quantized weights / skeleton above are then views into
-  /// this mapping. Shared so every copy of the bundle (and the serving
+  /// Non-null iff this bundle was loaded from a file: the matrices /
+  /// quantized weights / skeleton above are then views into this
+  /// mapping. Shared so every copy of the bundle (and the serving
   /// ModelSnapshot holding it) keeps the pages alive; the file is
   /// unmapped when the last snapshot referencing it drains.
   std::shared_ptr<MmapFile> mapping;
-  /// File format the bundle was loaded from (3 = framed heap bundle,
-  /// 4 = flat mmap bundle); 0 for bundles assembled in process.
+  /// File format the bundle was loaded from (4, the flat mmap bundle);
+  /// 0 for bundles assembled in process.
   uint32_t format_version = 0;
   /// Wall-clock cost of the load that produced this bundle, stamped by
   /// LoadInferenceBundle and surfaced via /statsz and the bundle gauges.
   double load_ms = 0.0;
-  /// Pre-built interaction skeleton (a CSR view into `mapping` on the
-  /// v4 path) so serving never re-sorts the DDI edges; when absent,
-  /// Skeleton() derives it from `ddi` as before.
+  /// Pre-built interaction skeleton (a CSR view into `mapping` for a
+  /// loaded bundle) so serving never re-sorts the DDI edges; when absent,
+  /// Skeleton() derives it from `ddi`.
   graph::Graph ms_skeleton;
   bool has_ms_skeleton = false;
 
@@ -136,21 +136,11 @@ struct InferenceBundle {
 InferenceBundle ExtractInferenceBundle(const core::DssddiSystem& system,
                                        const data::SuggestionDataset& dataset);
 
-Status SaveInferenceBundle(const std::string& path, const InferenceBundle& bundle);
-
-/// Loads a bundle from either format, dispatching on the file magic:
-/// v3 framed files deserialize onto the heap as always; v4 flat files
-/// (see io/bundle_v4.h) map the file and build zero-copy views. Both
-/// paths run the same semantic validation and stamp format_version /
-/// load_ms on success.
+/// Loads a v4 bundle file (see io/bundle_v4.h, written by
+/// SaveInferenceBundleV4): maps the file, builds zero-copy views, and
+/// stamps format_version / load_ms on success. A file in the retired v3
+/// framed format is rejected with a Status asking for a re-export.
 Status LoadInferenceBundle(const std::string& path, InferenceBundle* bundle);
-
-/// Shared semantic validation run by both loaders after parsing:
-/// cross-field dimension consistency, MLP layer-shape chains, and (when
-/// a quantized companion was shipped) float/quantized agreement. Never
-/// touches tensor payload bytes, so the v4 path stays O(pages touched).
-Status ValidateLoadedBundle(const InferenceBundle& bundle,
-                            const std::string& path, bool has_quantized);
 
 }  // namespace dssddi::io
 

@@ -1,94 +1,11 @@
 #include "io/quantized_mlp.h"
 
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "io/inference_bundle.h"
-#include "io/serialize.h"
 #include "util/logging.h"
 
 namespace dssddi::io {
-namespace {
-
-constexpr uint32_t kMaxQuantLayers = 64;
-constexpr uint32_t kMaxQuantDim = 1u << 28;
-
-void WriteLayer(BinaryWriter& writer, const QuantizedMlp::Layer& layer) {
-  const auto& w = layer.weights;
-  writer.WriteU32(static_cast<uint32_t>(w.k));
-  writer.WriteU32(static_cast<uint32_t>(w.n));
-  writer.WriteFloatArray(w.scale_data(), static_cast<size_t>(w.n));
-  // Unpadded column-major int8 payload: k bytes per column. The kernel's
-  // packed tile layout (and its zero-point correction table) is an
-  // in-memory concern, rebuilt on load — so the file format survives
-  // future microkernel layout changes.
-  writer.WriteU32(static_cast<uint32_t>(w.k) * static_cast<uint32_t>(w.n));
-  std::string bytes(static_cast<size_t>(w.k) * w.n, '\0');
-  tensor::kernels::UnpackQuantizedWeights(
-      w, reinterpret_cast<signed char*>(&bytes[0]));
-  writer.WriteString(bytes);
-  WriteMatrix(writer, layer.bias);
-  writer.WriteI32(layer.activation);
-  writer.WriteF32(layer.max_abs_error);
-}
-
-bool ReadLayer(BinaryReader& reader, QuantizedMlp::Layer* layer) {
-  const uint32_t k = reader.ReadU32();
-  const uint32_t n = reader.ReadU32();
-  if (!reader.ok() || k > kMaxQuantDim || n > kMaxQuantDim) {
-    reader.Fail();
-    return false;
-  }
-  std::vector<float> scales;
-  if (!reader.ReadFloatArray(&scales) || scales.size() != n) {
-    reader.Fail();
-    return false;
-  }
-  for (const float scale : scales) {
-    if (!std::isfinite(scale) || scale < 0.0f) {
-      reader.Fail();
-      return false;
-    }
-  }
-  const uint32_t declared = reader.ReadU32();
-  const std::string bytes = reader.ReadString();
-  // The int8 payload declares its element count twice (once explicitly,
-  // once as the string length); any disagreement with k * n means the
-  // section is corrupt, so reject instead of reinterpreting garbage.
-  if (!reader.ok() || declared != k * n ||
-      bytes.size() != static_cast<size_t>(k) * n) {
-    reader.Fail();
-    return false;
-  }
-  // Out-of-range magnitudes would break the kernel's saturation-freedom
-  // proof, so a corrupt byte is rejected here, not scored with.
-  for (const char b : bytes) {
-    const auto v = static_cast<signed char>(b);
-    if (v > tensor::kernels::kQuantWeightMax ||
-        v < -tensor::kernels::kQuantWeightMax) {
-      reader.Fail();
-      return false;
-    }
-  }
-  if (!ReadMatrix(reader, &layer->bias)) return false;
-  layer->activation = reader.ReadI32();
-  layer->max_abs_error = reader.ReadF32();
-  if (!reader.ok() || layer->activation < 0 || layer->activation > 4 ||
-      layer->bias.rows() != 1 ||
-      layer->bias.cols() != static_cast<int>(n)) {
-    reader.Fail();
-    return false;
-  }
-  layer->weights = tensor::kernels::BuildQuantizedWeights(
-      static_cast<int>(k), static_cast<int>(n),
-      reinterpret_cast<const signed char*>(bytes.data()), scales.data(),
-      layer->max_abs_error);
-  return true;
-}
-
-}  // namespace
-
 tensor::Matrix QuantizedMlp::Forward(const tensor::Matrix& x) const {
   tensor::kernels::QuantizedRows rows;
   tensor::Matrix h;
@@ -123,45 +40,6 @@ QuantizedMlp QuantizeMlp(const FrozenMlp& mlp) {
     quantized.layers.push_back(std::move(out));
   }
   return quantized;
-}
-
-void WriteQuantizedMlp(BinaryWriter& writer, const QuantizedMlp& mlp) {
-  // The whole section is length-prefixed so the loader can verify that
-  // what it consumed agrees byte-for-byte with what was declared.
-  BinaryWriter body;
-  body.WriteU32(static_cast<uint32_t>(mlp.layers.size()));
-  for (const auto& layer : mlp.layers) WriteLayer(body, layer);
-  writer.WriteU32(static_cast<uint32_t>(body.size()));
-  writer.WriteString(body.buffer());
-}
-
-bool ReadQuantizedMlp(BinaryReader& reader, QuantizedMlp* mlp) {
-  const uint32_t declared_length = reader.ReadU32();
-  const std::string body = reader.ReadString();
-  if (!reader.ok() || body.size() != declared_length) {
-    reader.Fail();
-    return false;
-  }
-  BinaryReader section(body);
-  const uint32_t num_layers = section.ReadU32();
-  if (!section.ok() || num_layers > kMaxQuantLayers) {
-    reader.Fail();
-    return false;
-  }
-  mlp->layers.assign(num_layers, {});
-  for (auto& layer : mlp->layers) {
-    if (!ReadLayer(section, &layer)) {
-      reader.Fail();
-      return false;
-    }
-  }
-  // Trailing bytes inside the section mean its declared length disagrees
-  // with its actual content — corrupt, not just "extra".
-  if (!section.ok() || section.remaining() != 0) {
-    reader.Fail();
-    return false;
-  }
-  return true;
 }
 
 }  // namespace dssddi::io

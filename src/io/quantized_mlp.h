@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "io/binary.h"
 #include "tensor/kernels/qgemm.h"
 #include "tensor/matrix.h"
 
@@ -44,12 +43,6 @@ struct QuantizedMlp {
 /// Quantizes every layer of `mlp`. Deterministic: same floats in, same
 /// int8 out, on every host and ISA.
 QuantizedMlp QuantizeMlp(const FrozenMlp& mlp);
-
-/// Bundle-file codec for the quantized section. The section is framed
-/// with its own byte length so a corrupt or truncated section is
-/// rejected by length disagreement before any of it is interpreted.
-void WriteQuantizedMlp(BinaryWriter& writer, const QuantizedMlp& mlp);
-bool ReadQuantizedMlp(BinaryReader& reader, QuantizedMlp* mlp);
 
 }  // namespace dssddi::io
 

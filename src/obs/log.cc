@@ -70,30 +70,39 @@ void FlightRecorder::Record(LogSeverity severity, LogReason reason,
                             double total_ms, const Trace* trace,
                             const char* detail) {
   // Claim a slot by ticket. Distinct tickets map to distinct slots until
-  // the ring wraps; a writer lapped by capacity_ newer events would share
-  // a slot, which the seqlock turns into one torn (skipped) entry rather
-  // than a data race.
+  // the ring wraps; once it laps, two writers can land on one slot. Only
+  // the writer whose CAS moves seq from even to odd owns the slot; the
+  // other drops its ring entry rather than wait, so Record stays
+  // lock-free and a reader can never accept a mix of two writers'
+  // fields. The acquire orders this writer's field stores after the
+  // previous owner's, so the slot cannot end up with the older values.
   const uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Odd epoch: readers treat the slot as mid-update. fetch_add (not
-  // store) so two lapped writers on the same slot still leave the seq
-  // observably moving — their interleaved field writes can only ever be
-  // read as "changed, retry/skip".
-  slot.seq.fetch_add(1, std::memory_order_release);
-  slot.severity.store(static_cast<int>(severity), std::memory_order_relaxed);
-  slot.reason.store(static_cast<int>(reason), std::memory_order_relaxed);
-  slot.route.store(route, std::memory_order_relaxed);
-  slot.detail.store(detail, std::memory_order_relaxed);
-  slot.status.store(status, std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_relaxed);
-  slot.total_ms.store(total_ms, std::memory_order_relaxed);
-  for (int s = 0; s < kNumStages; ++s) {
-    const uint64_t ns =
-        trace != nullptr ? trace->StageNs(static_cast<Stage>(s)) : 0;
-    slot.stage_ns[static_cast<size_t>(s)].store(ns, std::memory_order_relaxed);
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1u) == 0 &&
+      slot.seq.compare_exchange_strong(seq, seq + 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+    // Seqlock writer side: the odd stamp must be visible before any
+    // field store is, or a reader could see a new field under the old
+    // even seq.
+    std::atomic_thread_fence(std::memory_order_release);
+    slot.ticket.store(ticket, std::memory_order_relaxed);
+    slot.severity.store(static_cast<int>(severity), std::memory_order_relaxed);
+    slot.reason.store(static_cast<int>(reason), std::memory_order_relaxed);
+    slot.route.store(route, std::memory_order_relaxed);
+    slot.detail.store(detail, std::memory_order_relaxed);
+    slot.status.store(status, std::memory_order_relaxed);
+    slot.trace_id.store(trace_id, std::memory_order_relaxed);
+    slot.unix_seconds.store(UnixSecondsNow(), std::memory_order_relaxed);
+    slot.total_ms.store(total_ms, std::memory_order_relaxed);
+    for (int s = 0; s < kNumStages; ++s) {
+      const uint64_t ns =
+          trace != nullptr ? trace->StageNs(static_cast<Stage>(s)) : 0;
+      slot.stage_ns[static_cast<size_t>(s)].store(ns,
+                                                   std::memory_order_relaxed);
+    }
+    slot.seq.store(seq + 2, std::memory_order_release);
   }
-  slot.seq.fetch_add(1, std::memory_order_release);
 
   if (options_.stderr_errors && severity == LogSeverity::kError) {
     // Fixed-buffer single-line JSON to stderr: allocation-free so the
@@ -118,6 +127,7 @@ bool FlightRecorder::ReadSlot(size_t index, LogEvent* out,
     if (before == 0) return false;       // never written
     if ((before & 1u) != 0) continue;    // writer mid-stamp
     LogEvent event;
+    const uint64_t slot_ticket = slot.ticket.load(std::memory_order_relaxed);
     event.severity =
         static_cast<LogSeverity>(slot.severity.load(std::memory_order_relaxed));
     event.reason =
@@ -135,9 +145,7 @@ bool FlightRecorder::ReadSlot(size_t index, LogEvent* out,
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     *out = event;
-    // seq == 2 * (ticket mod lap) + 2; recover the write ordinal for
-    // oldest-first sorting: each wrap of this slot adds 2 to seq.
-    *ticket = (before / 2 - 1) * capacity_ + index;
+    *ticket = slot_ticket;
     return true;
   }
   return false;

@@ -22,8 +22,9 @@ namespace dssddi::obs {
 /// (severity, route, status, trace id, shed/expiry reason, total and
 /// per-stage durations) stored in per-slot atomics; writers claim slots
 /// with a fetch_add ticket and stamp a seqlock around the field writes,
-/// so readers (the /logz render) detect and skip torn entries instead of
-/// synchronizing with writers. Routes and detail strings are restricted
+/// so readers (the /logz render) detect and skip entries mid-update
+/// instead of synchronizing with writers. When the ring laps onto a slot
+/// another writer still holds, the newer event is dropped. Routes and detail strings are restricted
 /// to string literals (stable addresses, no copies) which is what keeps
 /// the record path allocation-free.
 
@@ -106,7 +107,8 @@ class FlightRecorder {
                              uint64_t trace_filter = 0,
                              const std::string& route_filter = "") const;
 
-  /// Events recorded since construction (including overwritten ones).
+  /// Events recorded since construction (including overwritten ones and
+  /// the rare ones dropped because their slot was still being written).
   uint64_t recorded() const {
     return next_ticket_.load(std::memory_order_relaxed);
   }
@@ -117,12 +119,13 @@ class FlightRecorder {
   std::vector<LogEvent> SnapshotForTest() const;
 
  private:
-  /// Seqlock-per-slot mirror of LogEvent. The claim ticket doubles as
-  /// the sequence epoch: slot i holds ticket t only while seq == 2t+2;
-  /// odd seq means a writer is mid-stamp. All fields atomic so
+  /// Seqlock-per-slot mirror of LogEvent plus the claim ticket (the
+  /// oldest-first sort key). Even seq: stable (0 = never written); odd
+  /// seq: one writer owns the slot mid-stamp. All fields atomic so
   /// concurrent read/write is defined without a mutex.
   struct Slot {
     std::atomic<uint64_t> seq{0};
+    std::atomic<uint64_t> ticket{0};
     std::atomic<int> severity{0};
     std::atomic<int> reason{0};
     std::atomic<const char*> route{""};

@@ -252,9 +252,7 @@ io::Status SuggestionService::Reload(io::InferenceBundle bundle) {
                     "reload", 200, 0, next->bundle.load_ms, nullptr,
                     next->bundle.format_version == 4
                         ? "installed v4 mmap bundle"
-                        : (next->bundle.format_version == 3
-                               ? "installed v3 heap bundle"
-                               : "installed in-process bundle"));
+                        : "installed in-process bundle");
   return io::Status::Ok();
 }
 

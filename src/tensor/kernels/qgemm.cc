@@ -157,8 +157,7 @@ void EpilogueInPlace(float* c, int m, int n, const float* bias,
 }
 
 /// Packs unpacked column-major int8 into the tile layout and builds the
-/// zero-point correction table. Shared by the quantizer and the bundle
-/// loader.
+/// zero-point correction table.
 void PackColumns(const signed char* columns, QuantizedWeights* q) {
   q->data.assign(static_cast<size_t>(q->n_padded) * q->k_padded, 0);
   q->col_corrections.assign(
@@ -211,33 +210,6 @@ QuantizedWeights QuantizeWeightsPerColumn(const float* w, int k, int n) {
   q.max_abs_error = max_err;
   PackColumns(columns.data(), &q);
   return q;
-}
-
-QuantizedWeights BuildQuantizedWeights(int k, int n, const signed char* columns,
-                                       const float* scales,
-                                       float max_abs_error) {
-  QuantizedWeights q;
-  q.k = k;
-  q.n = n;
-  q.k_padded = QuantPaddedK(k);
-  q.n_padded = QuantPaddedN(n);
-  q.scales.assign(q.n_padded, 0.0f);
-  std::copy(scales, scales + n, q.scales.begin());
-  q.max_abs_error = max_abs_error;
-  PackColumns(columns, &q);
-  return q;
-}
-
-void UnpackQuantizedWeights(const QuantizedWeights& w, signed char* columns) {
-  const size_t tile_bytes = static_cast<size_t>(w.k_padded) * kQuantColTile;
-  for (int j = 0; j < w.n; ++j) {
-    const signed char* tile = w.packed_data() + (j / kQuantColTile) * tile_bytes;
-    const int col_in_tile = j % kQuantColTile;
-    for (int p = 0; p < w.k; ++p) {
-      columns[static_cast<size_t>(j) * w.k + p] =
-          tile[static_cast<size_t>(p / 4) * 32 + col_in_tile * 4 + p % 4];
-    }
-  }
 }
 
 void QuantizeRowsSymmetric(const float* a, int m, int k, QuantizedRows* out) {

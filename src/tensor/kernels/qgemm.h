@@ -145,17 +145,6 @@ struct QuantizedRows {
 /// bias -> activation for that output).
 QuantizedWeights QuantizeWeightsPerColumn(const float* w, int k, int n);
 
-/// Rebuilds the packed form from unpacked column-major int8 (k values
-/// per column, magnitudes <= kQuantWeightMax) + per-column scales — the
-/// serialized representation, kept layout-agnostic on disk.
-QuantizedWeights BuildQuantizedWeights(int k, int n, const signed char* columns,
-                                       const float* scales,
-                                       float max_abs_error);
-
-/// Writes the unpacked column-major int8 values (k * n bytes, column j
-/// first) — the inverse of BuildQuantizedWeights' packing.
-void UnpackQuantizedWeights(const QuantizedWeights& w, signed char* columns);
-
 /// Quantizes m row-major float rows of length k into `out` (reusing its
 /// buffers when already sized), one symmetric scale per kQuantGroup
 /// channels. Row scales are computed independently, so a row's

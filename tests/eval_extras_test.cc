@@ -9,7 +9,6 @@
 #include "core/dssddi_system.h"
 #include "eval/calibration.h"
 #include "eval/ddi_eval.h"
-#include "eval/model_selection.h"
 #include "eval/significance.h"
 #include "gtest/gtest.h"
 #include "test_support.h"
@@ -216,45 +215,6 @@ TEST(DdiSignEvalTest, DeterministicUnderSeed) {
   EXPECT_DOUBLE_EQ(a.mse, b.mse);
   EXPECT_DOUBLE_EQ(a.auc, b.auc);
   EXPECT_EQ(a.num_test_edges, b.num_test_edges);
-}
-
-// ---------------------------------------------------------------------
-// Grid search (validation-split model selection)
-// ---------------------------------------------------------------------
-
-TEST(GridSearchTest, PicksTheTrainedCandidateOverTheUntrainedOne) {
-  const auto dataset = testing::TinyDataset();
-  core::DssddiConfig good;
-  good.ddi.epochs = 40;
-  good.md.epochs = 80;
-  good.md.hidden_dim = 16;
-  core::DssddiConfig crippled = good;
-  crippled.md.epochs = 1;  // effectively untrained decoder
-
-  std::vector<eval::GridSearchCandidate> candidates;
-  candidates.push_back({crippled, "crippled"});
-  candidates.push_back({good, "good"});
-
-  eval::EvaluateOptions test_options;
-  test_options.ks = {3};
-  const auto result = eval::GridSearchDssddi(candidates, dataset, 3, test_options);
-  EXPECT_EQ(result.best_index, 1);
-  ASSERT_EQ(result.validation_recalls.size(), 2u);
-  EXPECT_GT(result.validation_recalls[1], result.validation_recalls[0]);
-  EXPECT_EQ(result.test_evaluation.model_name, "good");
-  ASSERT_EQ(result.test_evaluation.ranking.size(), 1u);
-  EXPECT_GT(result.test_evaluation.ranking[0].recall, 0.2);
-}
-
-TEST(GridSearchTest, DefaultGridCoversDeltaAndScale) {
-  const auto grid = eval::DefaultDssddiGrid({});
-  EXPECT_EQ(grid.size(), 9u);
-  // All labels distinct.
-  for (size_t i = 0; i < grid.size(); ++i) {
-    for (size_t j = i + 1; j < grid.size(); ++j) {
-      EXPECT_NE(grid[i].label, grid[j].label);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------

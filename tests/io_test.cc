@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -370,24 +371,6 @@ TEST_F(InferenceBundleTest, ExtractedBundleMatchesSystemScores) {
   }
 }
 
-TEST_F(InferenceBundleTest, SaveLoadPreservesScoresBitExactly) {
-  const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
-  const std::string path = TempPath("model.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
-
-  io::InferenceBundle loaded;
-  ASSERT_TRUE(io::LoadInferenceBundle(path, &loaded).ok);
-  EXPECT_EQ(loaded.display_name, bundle.display_name);
-  EXPECT_EQ(loaded.hidden_dim, bundle.hidden_dim);
-  EXPECT_EQ(loaded.ms_explainer, bundle.ms_explainer);
-
-  const auto& test_ids = dataset_->split.test;
-  const tensor::Matrix x = dataset_->patient_features.GatherRows(test_ids);
-  const tensor::Matrix before = bundle.PredictScores(x);
-  const tensor::Matrix after = loaded.PredictScores(x);
-  EXPECT_EQ(before.data(), after.data());  // bit-exact across the file
-}
-
 TEST_F(InferenceBundleTest, SuggestMatchesInProcessSystem) {
   auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
   bundle.quantization = static_cast<int>(tensor::kernels::QuantMode::kNone);
@@ -399,35 +382,6 @@ TEST_F(InferenceBundleTest, SuggestMatchesInProcessSystem) {
   EXPECT_EQ(actual.explanation.subgraph_drugs, expected.explanation.subgraph_drugs);
   EXPECT_DOUBLE_EQ(actual.explanation.suggestion_satisfaction,
                    expected.explanation.suggestion_satisfaction);
-}
-
-TEST_F(InferenceBundleTest, QuantizedSectionRoundTripsBitExactly) {
-  // The int8 companions ship inside the bundle file (version 3); a
-  // loaded bundle must score the quantized path bit-identically to the
-  // bundle it was saved from — whether it uses the shipped section or
-  // (for older files) rebuilds it from the float weights.
-  auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
-  bundle.quantization = static_cast<int>(tensor::kernels::QuantMode::kInt8);
-  const std::string path = TempPath("model_q.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
-
-  io::InferenceBundle loaded;
-  ASSERT_TRUE(io::LoadInferenceBundle(path, &loaded).ok);
-  loaded.quantization = static_cast<int>(tensor::kernels::QuantMode::kInt8);
-  ASSERT_EQ(loaded.patient_fc.quantized.layers.size(),
-            bundle.patient_fc.quantized.layers.size());
-  for (size_t i = 0; i < bundle.patient_fc.quantized.layers.size(); ++i) {
-    const auto& saved = bundle.patient_fc.quantized.layers[i].weights;
-    const auto& got = loaded.patient_fc.quantized.layers[i].weights;
-    EXPECT_EQ(saved.data, got.data) << "layer " << i;
-    EXPECT_EQ(saved.scales, got.scales) << "layer " << i;
-  }
-
-  const tensor::Matrix x =
-      dataset_->patient_features.GatherRows(dataset_->split.test);
-  const tensor::Matrix before = bundle.PredictScores(x);
-  const tensor::Matrix after = loaded.PredictScores(x);
-  EXPECT_EQ(before.data(), after.data());  // bit-exact int8 scores
 }
 
 TEST_F(InferenceBundleTest, QuantizedScoresAreBatchInvariant) {
@@ -463,14 +417,14 @@ TEST_F(InferenceBundleTest, ReloadIntoReusedBundleDropsStaleQuantizedWeights) {
   core::DssddiSystem other(other_config);
   other.Fit(*dataset_);
   io::InferenceBundle bundle_b = io::ExtractInferenceBundle(other, *dataset_);
-  // Strip B's quantized sections so its file says has_quantized = 0.
+  // Strip B's quantized sections so its file carries none.
   bundle_b.patient_fc.quantized.layers.clear();
   bundle_b.decoder.quantized.layers.clear();
 
   const std::string path_a = TempPath("reuse_a.dssb");
   const std::string path_b = TempPath("reuse_b.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path_a, bundle_a).ok);
-  ASSERT_TRUE(io::SaveInferenceBundle(path_b, bundle_b).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path_a, bundle_a).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path_b, bundle_b).ok);
 
   io::InferenceBundle reused;
   ASSERT_TRUE(io::LoadInferenceBundle(path_a, &reused).ok);
@@ -486,24 +440,6 @@ TEST_F(InferenceBundleTest, ReloadIntoReusedBundleDropsStaleQuantizedWeights) {
   EXPECT_EQ(actual.data(), expected.data());
 }
 
-TEST_F(InferenceBundleTest, EveryTruncatedPrefixOfABundleFileIsRejected) {
-  const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
-  const std::string path = TempPath("truncate_sweep.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
-  std::string raw;
-  ASSERT_TRUE(io::ReadFileToString(path, &raw).ok);
-
-  const std::string cut_path = TempPath("truncate_cut.dssb");
-  for (int tenths = 0; tenths < 10; ++tenths) {
-    const size_t cut = raw.size() * static_cast<size_t>(tenths) / 10;
-    ASSERT_TRUE(io::WriteStringToFile(cut_path, raw.substr(0, cut)).ok);
-    io::InferenceBundle loaded;
-    EXPECT_FALSE(io::LoadInferenceBundle(cut_path, &loaded).ok)
-        << "accepted a bundle truncated to " << cut << " of " << raw.size()
-        << " bytes";
-  }
-}
-
 TEST_F(InferenceBundleTest, ShapeInconsistentBundleRejectedAtLoad) {
   // A bundle whose patient encoder disagrees with its feature width used
   // to pass loading and then abort (layer-width CHECK) at scoring time;
@@ -512,69 +448,12 @@ TEST_F(InferenceBundleTest, ShapeInconsistentBundleRejectedAtLoad) {
   bundle.cluster_centroids = tensor::Matrix(
       bundle.cluster_centroids.rows(), bundle.cluster_centroids.cols() + 1);
   const std::string path = TempPath("bad_shapes.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, bundle).ok);
   io::InferenceBundle loaded;
   const io::Status status = io::LoadInferenceBundle(path, &loaded);
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("layer shapes"), std::string::npos)
       << status.message;
-}
-
-TEST(QuantizedMlpCodecTest, SectionLengthDisagreementRejected) {
-  // The quantized section declares its own byte length; a length that
-  // disagrees with the section content must be rejected before any of
-  // the payload is interpreted.
-  io::FrozenMlp mlp;
-  io::FrozenMlp::Layer layer;
-  layer.weight = tensor::Matrix({{0.5f, -1.0f}, {2.0f, 0.25f}, {1.5f, -0.75f}});
-  layer.bias = tensor::Matrix({{0.1f, -0.2f}});
-  layer.activation = 1;
-  mlp.layers.push_back(layer);
-  const io::QuantizedMlp quantized = io::QuantizeMlp(mlp);
-
-  io::BinaryWriter writer;
-  io::WriteQuantizedMlp(writer, quantized);
-
-  {  // Sanity: the untouched section parses.
-    io::BinaryReader reader(writer.buffer());
-    io::QuantizedMlp parsed;
-    ASSERT_TRUE(io::ReadQuantizedMlp(reader, &parsed));
-    ASSERT_EQ(parsed.layers.size(), 1u);
-    EXPECT_EQ(parsed.layers[0].weights.data, quantized.layers[0].weights.data);
-  }
-  {  // Declared length one byte short of the actual section body.
-    std::string corrupt = writer.buffer();
-    corrupt[0] = static_cast<char>(static_cast<unsigned char>(corrupt[0]) - 1);
-    io::BinaryReader reader(corrupt);
-    io::QuantizedMlp parsed;
-    EXPECT_FALSE(io::ReadQuantizedMlp(reader, &parsed));
-    EXPECT_FALSE(reader.ok());
-  }
-  {  // Truncated mid-section.
-    const std::string truncated = writer.buffer().substr(0, writer.size() - 3);
-    io::BinaryReader reader(truncated);
-    io::QuantizedMlp parsed;
-    EXPECT_FALSE(io::ReadQuantizedMlp(reader, &parsed));
-  }
-}
-
-TEST_F(InferenceBundleTest, CorruptedBundleRejected) {
-  const auto bundle = io::ExtractInferenceBundle(*system_, *dataset_);
-  const std::string path = TempPath("corrupt.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(path, bundle).ok);
-  std::string raw;
-  ASSERT_TRUE(io::ReadFileToString(path, &raw).ok);
-  raw[raw.size() / 2] ^= 0x01;
-  ASSERT_TRUE(io::WriteStringToFile(path, raw).ok);
-  io::InferenceBundle loaded;
-  EXPECT_FALSE(io::LoadInferenceBundle(path, &loaded).ok);
-}
-
-TEST_F(InferenceBundleTest, WrongKindRejected) {
-  const std::string path = TempPath("matrix_as_bundle.dss");
-  ASSERT_TRUE(io::SaveMatrixFile(path, tensor::Matrix::Identity(3)).ok);
-  io::InferenceBundle loaded;
-  EXPECT_FALSE(io::LoadInferenceBundle(path, &loaded).ok);
 }
 
 // ---------------------------------------------------------------------
@@ -800,38 +679,35 @@ TEST_F(BundleV4Test, RoundTripIsZeroCopyAndBitExact) {
   EXPECT_TRUE(io::VerifyBundleV4Checksums(*v4_path_).ok);
 }
 
-TEST_F(BundleV4Test, V4ScoresBitIdenticalToV3AcrossQuantModes) {
-  const std::string v3_path = TempPath("model_v3_vs_v4.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
+TEST_F(BundleV4Test, V4ScoresBitIdenticalToInProcessAcrossQuantModes) {
   const tensor::Matrix x =
       dataset_->patient_features.GatherRows(dataset_->split.test);
   const int patient = dataset_->split.test.front();
 
   for (const auto mode : {tensor::kernels::QuantMode::kNone,
                           tensor::kernels::QuantMode::kInt8}) {
-    io::InferenceBundle v3;
+    io::InferenceBundle in_process = *bundle_;
     io::InferenceBundle v4;
-    v3.quantization = static_cast<int>(mode);
+    in_process.quantization = static_cast<int>(mode);
     v4.quantization = static_cast<int>(mode);
-    ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &v3).ok);
     ASSERT_TRUE(io::LoadInferenceBundle(*v4_path_, &v4).ok);
-    EXPECT_EQ(v3.format_version, 3u);
     EXPECT_EQ(v4.format_version, 4u);
 
-    const tensor::Matrix heap = v3.PredictScores(x);
+    const tensor::Matrix in_process_scores = in_process.PredictScores(x);
     const tensor::Matrix mapped = v4.PredictScores(x);
-    EXPECT_EQ(heap.data(), mapped.data())
+    EXPECT_EQ(in_process_scores.data(), mapped.data())
         << "mode " << static_cast<int>(mode);
 
-    const auto v3_suggest = v3.Suggest(
+    const auto expected = in_process.Suggest(
         dataset_->patient_features.GatherRows({patient}), 3);
-    const auto v4_suggest = v4.Suggest(
-        dataset_->patient_features.GatherRows({patient}), 3);
-    EXPECT_EQ(v3_suggest.drugs, v4_suggest.drugs);
-    EXPECT_EQ(v3_suggest.explanation.subgraph_drugs,
-              v4_suggest.explanation.subgraph_drugs);
-    EXPECT_DOUBLE_EQ(v3_suggest.explanation.suggestion_satisfaction,
-                     v4_suggest.explanation.suggestion_satisfaction);
+    const auto actual =
+        v4.Suggest(dataset_->patient_features.GatherRows({patient}), 3);
+    EXPECT_EQ(expected.drugs, actual.drugs);
+    EXPECT_EQ(expected.scores, actual.scores);
+    EXPECT_EQ(expected.explanation.subgraph_drugs,
+              actual.explanation.subgraph_drugs);
+    EXPECT_DOUBLE_EQ(expected.explanation.suggestion_satisfaction,
+                     actual.explanation.suggestion_satisfaction);
   }
 }
 
@@ -889,25 +765,6 @@ TEST_F(BundleV4Test, QuantlessV4FileRebuildsInt8FromMappedFloats) {
   EXPECT_EQ(rebuilt.data(), from_section.data());
 }
 
-TEST_F(BundleV4Test, ReloadingV3IntoAV4BundleDropsTheMapping) {
-  const std::string v3_path = TempPath("model_v3_after_v4.dssb");
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
-
-  io::InferenceBundle reused;
-  ASSERT_TRUE(io::LoadInferenceBundle(*v4_path_, &reused).ok);
-  ASSERT_NE(reused.mapping, nullptr);
-  ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &reused).ok);
-  EXPECT_EQ(reused.format_version, 3u);
-  EXPECT_EQ(reused.mapping, nullptr);
-  EXPECT_EQ(reused.bytes_mapped(), 0u);
-  EXPECT_FALSE(reused.has_ms_skeleton);
-  // The heap-loaded weights must actually work once the mapping is gone.
-  const tensor::Matrix x =
-      dataset_->patient_features.GatherRows(dataset_->split.test);
-  EXPECT_EQ(reused.PredictScores(x).rows(),
-            static_cast<int>(dataset_->split.test.size()));
-}
-
 TEST_F(BundleV4Test, EveryTruncatedPrefixOfAV4FileIsRejected) {
   const std::string cut_path = TempPath("v4_truncate_cut.dssb");
   for (int tenths = 0; tenths < 10; ++tenths) {
@@ -960,6 +817,62 @@ TEST_F(BundleV4Test, GarbageAfterV4MagicIsRejected) {
   EXPECT_FALSE(status.ok);
   EXPECT_NE(status.message.find("malformed v4 bundle"), std::string::npos)
       << status.message;
+}
+
+TEST_F(BundleV4Test, CorruptedBundleRejected) {
+  // Corruption inside sections — descriptors, and the one payload array
+  // (int8 scales) the loader can afford to scan — fails at load with a
+  // Status; corrupt weight bytes are the checksum verifier's job (below).
+  const size_t meta = FindV4Section(*raw_, io::kSectionMeta);
+  const size_t patient = FindV4Section(*raw_, io::kSectionPatientMlp);
+  const size_t drug_reps = FindV4Section(*raw_, io::kSectionDrugReps);
+  const size_t graph = FindV4Section(*raw_, io::kSectionGraph);
+  const size_t quant = FindV4Section(*raw_, io::kSectionQuantPatient);
+  ASSERT_GT(meta, 0u);
+  ASSERT_GT(patient, 0u);
+  ASSERT_GT(drug_reps, 0u);
+  ASSERT_GT(graph, 0u);
+  ASSERT_GT(quant, 0u);
+
+  ExpectU32MutationRejected(meta, 0xfffffff0u, "display name length");
+  // u32 layer count, then layer 0: u32 rows, u32 cols, i32 activation,
+  // u64 weight_off.
+  ExpectU64MutationRejected(patient + 16, 1, "misaligned weight offset");
+  uint32_t rows = 0;
+  std::memcpy(&rows, raw_->data() + drug_reps, sizeof(rows));
+  ExpectU32MutationRejected(drug_reps, rows + 1, "matrix past section end");
+  // u32 x4 counts, then the signed-edge array offset.
+  ExpectU64MutationRejected(graph + 16, 3, "misaligned signed-edge offset");
+  // u32 layer count, then layer 0: u32 k, u32 n, i32 activation, f32
+  // error, u64 data_off, u64 scales_off.
+  uint64_t scales_off = 0;
+  std::memcpy(&scales_off, raw_->data() + quant + 28, sizeof(scales_off));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ExpectMutationRejected(quant + scales_off, &nan, sizeof(nan), "NaN scale");
+}
+
+TEST_F(BundleV4Test, RetiredV3BundleIsRejectedWithReexportHint) {
+  // Files in the retired v3 framed format start with the "DSSD" frame
+  // magic and the inference-bundle format id; the loader names the
+  // format and the writer to re-export with.
+  const std::string path = TempPath("model_v3_retired.dssb");
+  ASSERT_TRUE(io::WriteFramedFile(path, io::kFormatInferenceBundle, 3,
+                                  std::string(256, '\x01'))
+                  .ok);
+  io::InferenceBundle loaded;
+  const io::Status status = io::LoadInferenceBundle(path, &loaded);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("retired v3"), std::string::npos)
+      << status.message;
+  EXPECT_NE(status.message.find("SaveInferenceBundleV4"), std::string::npos)
+      << status.message;
+
+  // Any other framed artifact is simply not a bundle.
+  ASSERT_TRUE(io::SaveMatrixFile(path, tensor::Matrix::Identity(3)).ok);
+  const io::Status matrix_status = io::LoadInferenceBundle(path, &loaded);
+  EXPECT_FALSE(matrix_status.ok);
+  EXPECT_NE(matrix_status.message.find("bad magic"), std::string::npos)
+      << matrix_status.message;
 }
 
 TEST_F(BundleV4Test, ChecksumVerifierCatchesPayloadBitRot) {

@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
+#include "io/serialize.h"
 #include "net/http.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -731,7 +732,7 @@ TEST_F(NetEndToEndTest, OverloadShedsWith429InsteadOfHanging) {
 
 TEST_F(NetEndToEndTest, ReloadUnderLoadSwapsWithoutCorruptingResponses) {
   const std::string other_path = ::testing::TempDir() + "dssddi_net_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(other_path, *other_bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(other_path, *other_bundle_).ok);
 
   serve::ServiceOptions service_options;
   service_options.num_threads = 2;
@@ -843,7 +844,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadSwapsWithoutCorruptingResponses) {
   first_weight = std::move(widened);
   narrow.patient_fc.BuildQuantized();
   const std::string narrow_path = ::testing::TempDir() + "dssddi_net_narrow.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(narrow_path, narrow).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(narrow_path, narrow).ok);
   net::ClientResponse conflict;
   ASSERT_TRUE(admin.Request("POST", "/admin/reload",
                             "{\"path\":\"" + narrow_path + "\"}", &conflict).ok);
@@ -960,7 +961,7 @@ TEST_F(NetEndToEndTest, BinaryRouteBitIdenticalToJsonRouteAndDirectSuggest) {
 TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   const std::string other_path =
       ::testing::TempDir() + "dssddi_net_deadline_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(other_path, *other_bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(other_path, *other_bundle_).ok);
 
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;
@@ -1092,42 +1093,42 @@ TEST_F(NetEndToEndTest, DeadlinedRequestsExpirePreScoringAcrossReload) {
   server.Stop();
 }
 
-TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToV3) {
-  // The file format must be invisible on the wire: the same model saved
-  // as v3 (heap) and v4 (mmap) has to produce byte-identical /v1/suggest
-  // responses — JSON and binary — in both float and int8 modes.
-  const std::string v3_path = ::testing::TempDir() + "dssddi_net_fmt_v3.dssb";
+TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToInProcess) {
+  // The file must be invisible on the wire: the model served from its
+  // mapped v4 file has to produce byte-identical /v1/suggest responses —
+  // JSON and binary — to the in-process bundle it was saved from, in
+  // both float and int8 modes.
   const std::string v4_path = ::testing::TempDir() + "dssddi_net_fmt_v4.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_path, *bundle_).ok);
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_path, *bundle_).ok);
 
   for (const auto mode : {tensor::kernels::QuantMode::kNone,
                           tensor::kernels::QuantMode::kInt8}) {
-    io::InferenceBundle heap;
+    io::InferenceBundle in_process = *bundle_;
     io::InferenceBundle mapped;
-    heap.quantization = static_cast<int>(mode);
+    in_process.quantization = static_cast<int>(mode);
     mapped.quantization = static_cast<int>(mode);
-    ASSERT_TRUE(io::LoadInferenceBundle(v3_path, &heap).ok);
     ASSERT_TRUE(io::LoadInferenceBundle(v4_path, &mapped).ok);
     ASSERT_EQ(mapped.format_version, 4u);
     ASSERT_GT(mapped.bytes_mapped(), 0u);
 
     serve::ServiceOptions service_options;
     service_options.num_threads = 2;
-    serve::SuggestionService heap_service(heap, service_options);
+    serve::SuggestionService in_process_service(in_process, service_options);
     serve::SuggestionService mapped_service(mapped, service_options);
-    net::SuggestFrontend heap_frontend(&heap_service);
+    net::SuggestFrontend in_process_frontend(&in_process_service);
     net::SuggestFrontend mapped_frontend(&mapped_service);
     net::HttpServerOptions server_options;
     server_options.port = 0;
-    net::HttpServer heap_server(server_options, heap_frontend.AsHandler());
+    net::HttpServer in_process_server(server_options,
+                                      in_process_frontend.AsHandler());
     net::HttpServer mapped_server(server_options, mapped_frontend.AsHandler());
-    ASSERT_TRUE(heap_server.Start().ok);
+    ASSERT_TRUE(in_process_server.Start().ok);
     ASSERT_TRUE(mapped_server.Start().ok);
 
-    net::HttpClient heap_client;
+    net::HttpClient in_process_client;
     net::HttpClient mapped_client;
-    ASSERT_TRUE(heap_client.Connect("127.0.0.1", heap_server.port()).ok);
+    ASSERT_TRUE(
+        in_process_client.Connect("127.0.0.1", in_process_server.port()).ok);
     ASSERT_TRUE(mapped_client.Connect("127.0.0.1", mapped_server.port()).ok);
     net::ClientRequestOptions binary_options;
     binary_options.content_type = net::wire::kContentType;
@@ -1138,16 +1139,17 @@ TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToV3) {
       // sequence, so server-assigned trace ids line up and the whole
       // body can be compared byte for byte.
       const std::string body = SuggestBody(patient, 3, true);
-      net::ClientResponse from_heap;
+      net::ClientResponse from_in_process;
       net::ClientResponse from_mapped;
-      ASSERT_TRUE(
-          heap_client.Request("POST", "/v1/suggest", body, &from_heap).ok);
+      ASSERT_TRUE(in_process_client
+                      .Request("POST", "/v1/suggest", body, &from_in_process)
+                      .ok);
       ASSERT_TRUE(
           mapped_client.Request("POST", "/v1/suggest", body, &from_mapped)
               .ok);
-      ASSERT_EQ(from_heap.status, 200) << from_heap.body;
+      ASSERT_EQ(from_in_process.status, 200) << from_in_process.body;
       ASSERT_EQ(from_mapped.status, 200) << from_mapped.body;
-      EXPECT_EQ(from_heap.body, from_mapped.body)
+      EXPECT_EQ(from_in_process.body, from_mapped.body)
           << "JSON bodies diverge for patient " << patient << " in mode "
           << static_cast<int>(mode);
 
@@ -1160,24 +1162,24 @@ TEST_F(NetEndToEndTest, V4MmapBundleServesByteIdenticalResponsesToV3) {
       frame.features.assign(features.RowPtr(patient),
                             features.RowPtr(patient) + features.cols());
       const std::string encoded = net::wire::EncodeSuggestRequest(frame);
-      ASSERT_TRUE(heap_client.Request("POST", "/v1/suggest", encoded,
-                                      binary_options, &from_heap)
+      ASSERT_TRUE(in_process_client.Request("POST", "/v1/suggest", encoded,
+                                            binary_options, &from_in_process)
                       .ok);
       ASSERT_TRUE(mapped_client.Request("POST", "/v1/suggest", encoded,
                                         binary_options, &from_mapped)
                       .ok);
-      ASSERT_EQ(from_heap.status, 200);
+      ASSERT_EQ(from_in_process.status, 200);
       ASSERT_EQ(from_mapped.status, 200);
-      EXPECT_EQ(from_heap.body, from_mapped.body)
+      EXPECT_EQ(from_in_process.body, from_mapped.body)
           << "binary frames diverge for patient " << patient << " in mode "
           << static_cast<int>(mode);
     }
-    heap_server.Stop();
+    in_process_server.Stop();
     mapped_server.Stop();
   }
 }
 
-TEST_F(NetEndToEndTest, ReloadMissingPathReturnsStructuredErrorAndKeepsModel) {
+TEST_F(NetEndToEndTest, ReloadOfUnloadableFileReturns400AndKeepsModel) {
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;
   serve::SuggestionService service(*bundle_, service_options);
@@ -1192,56 +1194,62 @@ TEST_F(NetEndToEndTest, ReloadMissingPathReturnsStructuredErrorAndKeepsModel) {
   const int patient = dataset_->split.test.front();
   const core::Suggestion expected = system_->Suggest(*dataset_, patient, 3);
 
+  // A missing file, and a file in the retired v3 framed bundle format.
   const std::string missing =
       ::testing::TempDir() + "dssddi_reload_absent.dssb";
-  net::ClientResponse response;
-  ASSERT_TRUE(client.Request("POST", "/admin/reload",
-                             "{\"path\":\"" + missing + "\"}", &response)
+  const std::string retired = ::testing::TempDir() + "dssddi_reload_v3.dssb";
+  ASSERT_TRUE(io::WriteFramedFile(retired, io::kFormatInferenceBundle, 3,
+                                  std::string(64, '\0'))
                   .ok);
-  EXPECT_EQ(response.status, 400);
-  net::JsonValue document;
-  std::string error;
-  ASSERT_TRUE(net::ParseJson(response.body, &document, &error))
-      << response.body;
-  ASSERT_NE(document.Find("error"), nullptr);
-  EXPECT_EQ(document.Find("error")->AsString(), "cannot load bundle");
-  // "detail" is the loader's own Status message and names the file.
-  ASSERT_NE(document.Find("detail"), nullptr);
-  EXPECT_NE(document.Find("detail")->AsString().find(missing),
-            std::string::npos)
-      << document.Find("detail")->AsString();
-  ASSERT_NE(document.Find("path"), nullptr);
-  EXPECT_EQ(document.Find("path")->AsString(), missing);
-  ASSERT_NE(document.Find("model_version"), nullptr);
-  EXPECT_EQ(document.Find("model_version")->AsInt(), 1);
+  for (const std::string& path : {missing, retired}) {
+    net::ClientResponse response;
+    ASSERT_TRUE(client.Request("POST", "/admin/reload",
+                               "{\"path\":\"" + path + "\"}", &response)
+                    .ok);
+    EXPECT_EQ(response.status, 400);
+    net::JsonValue document;
+    std::string error;
+    ASSERT_TRUE(net::ParseJson(response.body, &document, &error))
+        << response.body;
+    ASSERT_NE(document.Find("error"), nullptr);
+    EXPECT_EQ(document.Find("error")->AsString(), "cannot load bundle");
+    // "detail" is the loader's own Status message and names the file.
+    ASSERT_NE(document.Find("detail"), nullptr);
+    const std::string detail = document.Find("detail")->AsString();
+    EXPECT_NE(detail.find(path), std::string::npos) << detail;
+    if (path == retired) {
+      EXPECT_NE(detail.find("retired v3"), std::string::npos) << detail;
+    }
+    ASSERT_NE(document.Find("path"), nullptr);
+    EXPECT_EQ(document.Find("path")->AsString(), path);
+    ASSERT_NE(document.Find("model_version"), nullptr);
+    EXPECT_EQ(document.Find("model_version")->AsInt(), 1);
 
-  // The snapshot is untouched: same version, same answers, no reload
-  // counted, format still the in-process one.
-  EXPECT_EQ(service.model_version(), 1u);
-  EXPECT_EQ(service.Stats().reloads, 0u);
-  EXPECT_EQ(service.Stats().bundle_format, "memory");
-  ASSERT_TRUE(client.Request("POST", "/v1/suggest",
-                             SuggestBody(patient, 3, true), &response)
-                  .ok);
-  ASSERT_EQ(response.status, 200);
-  ExpectMatchesSuggestion(response.body, expected);
+    // The snapshot is untouched: same version, same answers, no reload
+    // counted, format still the in-process one.
+    EXPECT_EQ(service.model_version(), 1u);
+    EXPECT_EQ(service.Stats().reloads, 0u);
+    EXPECT_EQ(service.Stats().bundle_format, "memory");
+    ASSERT_TRUE(client.Request("POST", "/v1/suggest",
+                               SuggestBody(patient, 3, true), &response)
+                    .ok);
+    ASSERT_EQ(response.status, 200);
+    ExpectMatchesSuggestion(response.body, expected);
+  }
   server.Stop();
 }
 
 TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   // Hot-swap sequence under sustained load: in-process float ->
-  // v4/other/float -> v4/original/int8 -> v3/original/float. Every
+  // v4/other/float -> v4/original/int8 -> v4/original/float. Every
   // response must carry exactly the answer of the generation it claims
   // (zero wrong-generation responses) and nothing may 5xx.
   const std::string v4_other =
       ::testing::TempDir() + "dssddi_flip_v4_other.dssb";
   const std::string v4_orig =
       ::testing::TempDir() + "dssddi_flip_v4_orig.dssb";
-  const std::string v3_orig =
-      ::testing::TempDir() + "dssddi_flip_v3_orig.dssb";
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_other, *other_bundle_).ok);
   ASSERT_TRUE(io::SaveInferenceBundleV4(v4_orig, *bundle_).ok);
-  ASSERT_TRUE(io::SaveInferenceBundle(v3_orig, *bundle_).ok);
 
   const std::vector<int>& patients = dataset_->split.test;
   // Generation expectations: 1 = original float, 2 = other float,
@@ -1328,13 +1336,11 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
     const std::string* path;
     const char* quantize;
     int version;
-    const char* format;
-    bool mapped;
   };
   const Swap swaps[] = {
-      {&v4_other, "none", 2, "v4", true},
-      {&v4_orig, "int8", 3, "v4", true},
-      {&v3_orig, "none", 4, "v3", false},
+      {&v4_other, "none", 2},
+      {&v4_orig, "int8", 3},
+      {&v4_orig, "none", 4},
   };
 
   net::HttpClient admin;
@@ -1357,14 +1363,10 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
     ASSERT_TRUE(net::ParseJson(reload_response.body, &reload_json, &error));
     EXPECT_EQ(reload_json.Find("model_version")->AsInt(), swap.version);
     ASSERT_NE(reload_json.Find("format"), nullptr) << reload_response.body;
-    EXPECT_EQ(reload_json.Find("format")->AsString(), swap.format);
+    EXPECT_EQ(reload_json.Find("format")->AsString(), "v4");
     ASSERT_NE(reload_json.Find("bytes_mapped"), nullptr);
-    if (swap.mapped) {
-      EXPECT_GT(reload_json.Find("bytes_mapped")->AsInt(), 0);
-      EXPECT_GE(reload_json.Find("load_ms")->AsDouble(), 0.0);
-    } else {
-      EXPECT_EQ(reload_json.Find("bytes_mapped")->AsInt(), 0);
-    }
+    EXPECT_GT(reload_json.Find("bytes_mapped")->AsInt(), 0);
+    EXPECT_GE(reload_json.Find("load_ms")->AsDouble(), 0.0);
   }
 
   const int final_target = served.load() + 15;
@@ -1375,7 +1377,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   for (auto& client : clients) client.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Settled state: v3 float of the original model, three reloads, and
+  // Settled state: v4 float of the original model, three reloads, and
   // /statsz reports the installed format.
   net::ClientResponse stats_response;
   ASSERT_TRUE(admin.Request("GET", "/statsz", "", &stats_response).ok);
@@ -1385,7 +1387,7 @@ TEST_F(NetEndToEndTest, ReloadUnderLoadFlipsFormatsAndQuantModesCleanly) {
   ASSERT_TRUE(net::ParseJson(stats_response.body, &stats_json, &error));
   const net::JsonValue* model = stats_json.Find("model");
   ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->Find("format")->AsString(), "v3");
+  EXPECT_EQ(model->Find("format")->AsString(), "v4");
   EXPECT_EQ(model->Find("reloads")->AsInt(), 3);
   EXPECT_EQ(service.Stats().reloads, 3u);
   net::HttpClient check;

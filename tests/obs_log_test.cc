@@ -3,7 +3,8 @@
 // severity/trace/route filters, stage-duration capture from a sampled
 // trace, zero allocations on Record (this file is its own test binary,
 // so the operator-new counting hook below sees only this file's code),
-// and torn-entry detection under concurrent writers.
+// and torn-entry detection under concurrent writers at ring capacities
+// that force writers to lap onto each other.
 
 #include <cstdint>
 #include <cstdlib>
@@ -272,53 +273,59 @@ TEST(FlightRecorderTest, RecordAllocatesNothing) {
 }
 
 // Writers racing a snapshotting reader: every event the reader observes
-// must be internally consistent (the seqlock turns torn slots into
-// skipped entries, never into mixed fields).
+// must be internally consistent (the seqlock turns slots mid-update into
+// skipped entries, never into mixed fields). Capacities 1 and 2 make
+// writers lap onto a slot another writer still holds on nearly every
+// record; 64 laps less often.
 TEST(FlightRecorderTest, ConcurrentWritersNeverYieldTornEvents) {
-  FlightRecorderOptions options;
-  options.capacity = 64;  // small ring so writers lap constantly
-  FlightRecorder recorder(options);
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{64}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    FlightRecorderOptions options;
+    options.capacity = capacity;
+    FlightRecorder recorder(options);
 
-  constexpr int kWriters = 4;
-  constexpr uint64_t kPerWriter = 20000;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> inconsistent{0};
+    constexpr int kWriters = 4;
+    constexpr uint64_t kPerWriter = 20000;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> inconsistent{0};
 
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const LogEvent& event : recorder.SnapshotForTest()) {
-        // Each writer stamps status = trace_id % 1000 and
-        // total_ms = trace_id % 97; a torn slot breaks the coupling.
-        if (event.status != static_cast<int>(event.trace_id % 1000) ||
-            event.total_ms != static_cast<double>(event.trace_id % 97)) {
-          inconsistent.fetch_add(1, std::memory_order_relaxed);
+    std::thread reader([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (const LogEvent& event : recorder.SnapshotForTest()) {
+          // Each writer stamps status = trace_id % 1000 and
+          // total_ms = trace_id % 97; a torn slot breaks the coupling.
+          if (event.status != static_cast<int>(event.trace_id % 1000) ||
+              event.total_ms != static_cast<double>(event.trace_id % 97)) {
+            inconsistent.fetch_add(1, std::memory_order_relaxed);
+          }
         }
       }
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&recorder, t] {
-      for (uint64_t i = 0; i < kPerWriter; ++i) {
-        const uint64_t id = static_cast<uint64_t>(t) * kPerWriter + i + 1;
-        recorder.Record(LogSeverity::kInfo, LogReason::kNone, "/v1/suggest",
-                        static_cast<int>(id % 1000), id,
-                        static_cast<double>(id % 97));
-      }
     });
-  }
-  for (std::thread& w : writers) w.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
 
-  EXPECT_EQ(inconsistent.load(), 0u);
-  EXPECT_EQ(recorder.recorded(), kWriters * kPerWriter);
-  // Quiescent ring: a final snapshot sees a full, consistent window.
-  const std::vector<LogEvent> events = recorder.SnapshotForTest();
-  EXPECT_EQ(events.size(), recorder.capacity());
-  for (const LogEvent& event : events) {
-    EXPECT_EQ(event.status, static_cast<int>(event.trace_id % 1000));
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&recorder, t] {
+        for (uint64_t i = 0; i < kPerWriter; ++i) {
+          const uint64_t id = static_cast<uint64_t>(t) * kPerWriter + i + 1;
+          recorder.Record(LogSeverity::kInfo, LogReason::kNone, "/v1/suggest",
+                          static_cast<int>(id % 1000), id,
+                          static_cast<double>(id % 97));
+        }
+      });
+    }
+    for (std::thread& w : writers) w.join();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_EQ(inconsistent.load(), 0u);
+    EXPECT_EQ(recorder.recorded(), kWriters * kPerWriter);
+    // Quiescent ring: a final snapshot sees a full, consistent window.
+    const std::vector<LogEvent> events = recorder.SnapshotForTest();
+    EXPECT_EQ(events.size(), recorder.capacity());
+    for (const LogEvent& event : events) {
+      EXPECT_EQ(event.status, static_cast<int>(event.trace_id % 1000));
+      EXPECT_EQ(event.total_ms, static_cast<double>(event.trace_id % 97));
+    }
   }
 }
 

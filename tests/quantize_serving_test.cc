@@ -16,6 +16,7 @@
 #include "data/chronic_cohort.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "io/bundle_v4.h"
 #include "io/inference_bundle.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -152,7 +153,7 @@ TEST_F(QuantizeServingTest, FloatModeReportsNoQuantization) {
 
 TEST_F(QuantizeServingTest, HttpReloadFlipsFloatAndInt8Live) {
   const std::string path = ::testing::TempDir() + "/quantize_reload.dssb";
-  ASSERT_TRUE(io::SaveInferenceBundle(path, *bundle_).ok);
+  ASSERT_TRUE(io::SaveInferenceBundleV4(path, *bundle_).ok);
 
   serve::ServiceOptions options;
   options.num_threads = 2;

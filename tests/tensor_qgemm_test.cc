@@ -24,9 +24,20 @@ Matrix RandomMatrix(int rows, int cols, util::Rng& rng, double scale = 1.0) {
   return m;
 }
 
+/// The column-major int8 values (k per column, column j first) read back
+/// out of the packed tile layout documented in qgemm.h: byte (sub s,
+/// col c, lane q) of a tile holds w[k = 4s + q][c].
 std::vector<signed char> Unpacked(const QuantizedWeights& w) {
   std::vector<signed char> columns(static_cast<size_t>(w.k) * w.n, 0);
-  if (!columns.empty()) UnpackQuantizedWeights(w, columns.data());
+  const size_t tile_bytes = static_cast<size_t>(w.k_padded) * kQuantColTile;
+  for (int j = 0; j < w.n; ++j) {
+    const signed char* tile = w.packed_data() + (j / kQuantColTile) * tile_bytes;
+    const int col_in_tile = j % kQuantColTile;
+    for (int p = 0; p < w.k; ++p) {
+      columns[static_cast<size_t>(j) * w.k + p] =
+          tile[static_cast<size_t>(p / 4) * 32 + col_in_tile * 4 + p % 4];
+    }
+  }
   return columns;
 }
 
@@ -107,19 +118,6 @@ TEST(QuantizeWeightsTest, ZeroColumnsQuantizeExactly) {
     EXPECT_EQ(columns[p], 0);                              // col 0
     EXPECT_EQ(columns[2 * static_cast<size_t>(k) + p], 0);  // col 2
   }
-}
-
-TEST(QuantizeWeightsTest, PackUnpackRoundTripsAndRebuildsIdentically) {
-  util::Rng rng(17);
-  const int k = 65, n = 10;
-  const Matrix w = RandomMatrix(k, n, rng);
-  const QuantizedWeights q = QuantizeWeightsPerColumn(w.data().data(), k, n);
-  const std::vector<signed char> columns = Unpacked(q);
-  const QuantizedWeights rebuilt = BuildQuantizedWeights(
-      k, n, columns.data(), q.scales.data(), q.max_abs_error);
-  EXPECT_EQ(rebuilt.data, q.data);
-  EXPECT_EQ(rebuilt.scales, q.scales);
-  EXPECT_EQ(rebuilt.col_corrections, q.col_corrections);
 }
 
 TEST(QuantizeRowsTest, GroupScalesConfineOutliers) {
