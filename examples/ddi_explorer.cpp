@@ -40,7 +40,7 @@ int main() {
   const int simvastatin = catalog.FindDrug("Simvastatin");
   const int atorvastatin = catalog.FindDrug("Atorvastatin");
   const auto community =
-      algo::FindClosestTrussCommunity(skeleton, {simvastatin, atorvastatin});
+      algo::FindClosestTrussCommunity(skeleton, truss, {simvastatin, atorvastatin});
   std::printf("\nclosest truss community around {Simvastatin, Atorvastatin}:\n"
               "  %zu drugs, trussness %d, diameter %d:\n",
               community.vertices.size(), community.trussness, community.diameter);

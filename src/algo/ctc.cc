@@ -129,8 +129,11 @@ bool QueryConnected(const graph::Graph& g, const std::vector<int>& query,
 }  // namespace
 
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& edge_truss,
                                                 const std::vector<int>& query,
                                                 const CtcOptions& options) {
+  DSSDDI_CHECK(static_cast<int>(edge_truss.size()) == g.num_edges())
+      << "truss index must be parallel to the graph's edges";
   ClosestTrussCommunity result;
   if (query.empty()) return result;
   for (int q : query) {
@@ -147,14 +150,13 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     return result;
   }
 
-  // Step 1: global truss decomposition; truss distance makes high-truss
+  // Step 1: truss distance from the global truss index makes high-truss
   // edges cheap so the Steiner tree prefers dense regions.
-  const std::vector<int> truss = TrussDecomposition(g);
   const int max_truss =
-      truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+      edge_truss.empty() ? 2 : *std::max_element(edge_truss.begin(), edge_truss.end());
   std::vector<double> weights(g.num_edges());
   for (int e = 0; e < g.num_edges(); ++e) {
-    weights[e] = 1.0 + static_cast<double>(max_truss - truss[e]);
+    weights[e] = 1.0 + static_cast<double>(max_truss - edge_truss[e]);
   }
 
   // Step 2: Steiner tree over the query.
@@ -163,7 +165,7 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
 
   // Step 3: expand G'0 by adjacent edges with truss >= p'.
   int p_prime = max_truss;
-  for (int e : steiner.edge_ids) p_prime = std::min(p_prime, truss[e]);
+  for (int e : steiner.edge_ids) p_prime = std::min(p_prime, edge_truss[e]);
   if (steiner.edge_ids.empty()) p_prime = 2;
 
   std::set<int> vertex_set(steiner.vertices.begin(), steiner.vertices.end());
@@ -177,9 +179,9 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   auto push_incident = [&](int v) {
     const auto eids = g.IncidentEdges(v);
     for (int e : eids) {
-      if (!edge_seen[e] && truss[e] >= p_prime) {
+      if (!edge_seen[e] && edge_truss[e] >= p_prime) {
         edge_seen[e] = 1;
-        frontier.emplace(truss[e], e);
+        frontier.emplace(edge_truss[e], e);
       }
     }
   };
@@ -204,9 +206,12 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   sub_query.reserve(unique_query.size());
   for (int q : unique_query) sub_query.push_back(old_to_new[q]);
 
-  int p = MaxQueryTrussness(sub, sub_query);
+  // An edge lies in the maximal p-truss iff its truss number is >= p.
+  const std::vector<int> sub_truss = TrussDecomposition(sub);
+  int p = MaxQueryTrussness(sub, sub_truss, sub_query);
   if (p < 2) p = 2;
-  std::vector<char> alive_edge = PTrussEdges(sub, p);
+  std::vector<char> alive_edge(sub.num_edges());
+  for (int e = 0; e < sub.num_edges(); ++e) alive_edge[e] = sub_truss[e] >= p;
   std::vector<char> alive_vertex(sub.num_vertices(), 0);
   std::vector<char> is_query(sub.num_vertices(), 0);
   for (int q : sub_query) is_query[q] = 1;
@@ -224,8 +229,8 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   }
   // Restrict to the component containing the query.
   if (!QueryConnected(sub, sub_query, alive_vertex, alive_edge)) {
-    // Fall back: the p-truss for this p disconnects the query (can happen
-    // since MaxQueryTrussness works on the full graph g's induced sub).
+    // Guard: the Steiner tree lies inside the candidate, so the maximal
+    // p-truss should connect the query; if not, keep the whole candidate.
     p = 2;
     alive_edge.assign(sub.num_edges(), 1);
     alive_vertex.assign(sub.num_vertices(), 1);
@@ -246,17 +251,15 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
   // iterate with the smallest query distance.
   std::vector<char> best_vertex = alive_vertex;
   std::vector<char> best_edge = alive_edge;
-  int best_distance = kInfDist;
-  {
-    const std::vector<int> qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
-    best_distance = 0;
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v] && qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
-    }
+  // Query distances of the current alive state, carried from the end of
+  // one iteration to the top of the next.
+  std::vector<int> qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
+  int best_distance = 0;
+  for (int v = 0; v < sub.num_vertices(); ++v) {
+    if (alive_vertex[v] && qd[v] < kInfDist) best_distance = std::max(best_distance, qd[v]);
   }
 
   for (int iter = 0; iter < options.max_shrink_iterations; ++iter) {
-    const std::vector<int> qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
     int community_distance = 0;
     for (int v = 0; v < sub.num_vertices(); ++v) {
       if (alive_vertex[v]) community_distance = std::max(community_distance, qd[v]);
@@ -279,13 +282,10 @@ ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
     MaintainPTruss(sub, p, alive_vertex, alive_edge, is_query);
     if (!QueryConnected(sub, sub_query, alive_vertex, alive_edge)) break;
 
-    const std::vector<int> qd_after =
-        QueryDistances(sub, sub_query, alive_vertex, alive_edge);
+    qd = QueryDistances(sub, sub_query, alive_vertex, alive_edge);
     int distance_after = 0;
     for (int v = 0; v < sub.num_vertices(); ++v) {
-      if (alive_vertex[v] && qd_after[v] < kInfDist) {
-        distance_after = std::max(distance_after, qd_after[v]);
-      }
+      if (alive_vertex[v] && qd[v] < kInfDist) distance_after = std::max(distance_after, qd[v]);
     }
     if (distance_after <= best_distance) {
       best_distance = distance_after;

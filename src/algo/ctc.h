@@ -30,14 +30,17 @@ struct CtcOptions {
 };
 
 /// Closest Truss Community search (Huang et al., VLDBJ'15), the subgraph
-/// querying algorithm of the Medical Support module. Steps: (1) truss
-/// decomposition of g; (2) Steiner tree over the query with truss distance
-/// (edges of high trussness are cheap); (3) greedy expansion by incident
+/// querying algorithm of the Medical Support module. `edge_truss` is
+/// TrussDecomposition(g), the truss index: it depends only on g, so a
+/// caller that queries one graph many times computes it once. Steps:
+/// (1) truss distance from the index (high-truss edges are cheap);
+/// (2) Steiner tree over the query; (3) greedy expansion by incident
 /// edges of truss >= p'; (4) local truss decomposition and maximal
 /// connected p-truss extraction; (5) iterative deletion of the vertices
-/// furthest from the query while maintaining the p-truss property; returns
-/// the iterate with the smallest query distance.
+/// furthest from the query while maintaining the p-truss property;
+/// returns the iterate with the smallest query distance.
 ClosestTrussCommunity FindClosestTrussCommunity(const graph::Graph& g,
+                                                const std::vector<int>& edge_truss,
                                                 const std::vector<int>& query,
                                                 const CtcOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "algo/bfs.h"
 #include "util/logging.h"
 
 namespace dssddi::algo {
@@ -81,33 +80,6 @@ std::vector<int> TrussDecomposition(const graph::Graph& g) {
   return truss;
 }
 
-std::vector<char> PTrussEdges(const graph::Graph& g, int p) {
-  std::vector<int> support = EdgeSupport(g);
-  std::vector<char> alive(g.num_edges(), 1);
-  std::queue<int> to_remove;
-  for (int e = 0; e < g.num_edges(); ++e) {
-    if (support[e] < p - 2) to_remove.push(e);
-  }
-  while (!to_remove.empty()) {
-    const int e = to_remove.front();
-    to_remove.pop();
-    if (!alive[e]) continue;
-    alive[e] = 0;
-    auto [u, v] = g.Edge(e);
-    if (g.Degree(u) > g.Degree(v)) std::swap(u, v);
-    for (int w : g.Neighbors(u)) {
-      if (w == v) continue;
-      const int e_uw = g.EdgeId(u, w);
-      const int e_vw = g.EdgeId(v, w);
-      if (e_vw < 0 || !alive[e_uw] || !alive[e_vw]) continue;
-      for (int edge : {e_uw, e_vw}) {
-        if (--support[edge] < p - 2 && alive[edge]) to_remove.push(edge);
-      }
-    }
-  }
-  return alive;
-}
-
 namespace {
 
 /// Connectivity of `query` over alive edges.
@@ -142,32 +114,18 @@ bool QueryConnectedOverEdges(const graph::Graph& g, const std::vector<char>& ali
 
 }  // namespace
 
-int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& query) {
+int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& truss,
+                      const std::vector<int>& query) {
+  DSSDDI_CHECK(static_cast<int>(truss.size()) == g.num_edges())
+      << "truss numbers must be parallel to the graph's edges";
   if (query.empty()) return 0;
-  const std::vector<int> truss = TrussDecomposition(g);
   const int max_p = truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  std::vector<char> alive(g.num_edges());
   for (int p = max_p; p >= 2; --p) {
-    const std::vector<char> alive = PTrussEdges(g, p);
+    for (int e = 0; e < g.num_edges(); ++e) alive[e] = truss[e] >= p;
     if (QueryConnectedOverEdges(g, alive, query)) return p;
   }
   return 0;
-}
-
-bool IsPTruss(const graph::Graph& g, const std::vector<char>& alive_edges, int p) {
-  // Count triangles restricted to alive edges.
-  for (int e = 0; e < g.num_edges(); ++e) {
-    if (!alive_edges[e]) continue;
-    auto [u, v] = g.Edge(e);
-    int support = 0;
-    for (int w : g.Neighbors(u)) {
-      if (w == v) continue;
-      const int e_uw = g.EdgeId(u, w);
-      const int e_vw = g.EdgeId(v, w);
-      if (e_vw >= 0 && alive_edges[e_uw] && alive_edges[e_vw]) ++support;
-    }
-    if (support < p - 2) return false;
-  }
-  return true;
 }
 
 }  // namespace dssddi::algo

@@ -18,15 +18,11 @@ std::vector<int> TrussDecomposition(const graph::Graph& g);
 
 /// Maximum p such that a connected p-truss containing all of `query`
 /// exists in g; 0 if the query vertices are not connected at all.
-int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& query);
-
-/// Edges of the maximal subgraph in which every edge has truss >= p
-/// ("the p-truss of G"). Returned as alive-edge flags parallel to edges().
-std::vector<char> PTrussEdges(const graph::Graph& g, int p);
-
-/// True iff, restricted to alive edges/vertices, every edge has support
-/// >= p - 2 (invariant checked by tests and the CTC shrink loop).
-bool IsPTruss(const graph::Graph& g, const std::vector<char>& alive_edges, int p);
+/// `truss` is TrussDecomposition(g): an edge lies in the maximal p-truss
+/// of g iff its truss number is >= p, so each candidate p is one BFS
+/// over those edges.
+int MaxQueryTrussness(const graph::Graph& g, const std::vector<int>& truss,
+                      const std::vector<int>& query);
 
 }  // namespace dssddi::algo
 

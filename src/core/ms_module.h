@@ -86,6 +86,10 @@ class MsModule {
   graph::Graph skeleton_;
   double alpha_;
   ExplainerKind explainer_;
+  /// TrussDecomposition(skeleton_), the CTC explainer's truss index,
+  /// computed once here instead of on every Explain (empty under the
+  /// densest-subgraph explainer, which does not use it).
+  std::vector<int> skeleton_truss_;
 };
 
 }  // namespace dssddi::core

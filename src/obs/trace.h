@@ -33,7 +33,9 @@ namespace dssddi::obs {
 // Stages
 // ---------------------------------------------------------------------
 
-/// Pipeline stages in request order. Kept in one enum (rather than
+/// Pipeline stages, in request order except kExplain (it runs between
+/// epilogue and serialize, and was appended so the older stages keep
+/// their indices). Kept in one enum (rather than
 /// free-form strings) so a Trace stores durations in a fixed array —
 /// stamping a span is two clock reads and an add, never a map touch.
 enum class Stage : int {
@@ -43,8 +45,9 @@ enum class Stage : int {
   kBatchForm,       // urgency sort + batch assembly
   kExpirySweep,     // deadline sweep that expired the request (504s only)
   kGemm,            // dense kernel time inside PredictScores
-  kEpilogue,        // suggestion build from scores
+  kEpilogue,        // top-k suggestion build from scores
   kSerialize,       // response encode (JSON or binary frame)
+  kExplain,         // Medical Support explanation (explained requests only)
   kStageCount,
 };
 inline constexpr int kNumStages = static_cast<int>(Stage::kStageCount);
@@ -58,7 +61,7 @@ const char* StageName(Stage stage);
 
 /// One sampled request's record. Stage durations are relaxed atomics
 /// because different pipeline threads stamp different stages (dispatch
-/// loop stamps queue_wait/gemm, the worker stamps epilogue, the event
+/// loop stamps queue_wait/gemm, the worker stamps epilogue/explain, the event
 /// loop stamps serialize) — stages never race on the same slot, but the
 /// finalizing reader needs a defined read.
 struct Trace {

@@ -348,11 +348,8 @@ void SuggestionService::HandleBatch(std::vector<PendingRequest> batch) {
 
     for (int i = 0; i < total; ++i) {
       PendingRequest& pending = batch[i];
-      obs::TraceSpan epilogue_span(pending.request.context.trace,
-                                   obs::Stage::kEpilogue);
       core::Suggestion suggestion =
           BuildSuggestion(*snapshot, scores, i, pending.request);
-      epilogue_span.Stop();
       if (cache_ && pending.request.explain && pending.request.patient_id >= 0) {
         // Cache only when the submit-time key generation matches the
         // snapshot that scored the row. After a racing Reload they can
@@ -444,11 +441,17 @@ void SuggestionService::ExpireRequest(PendingRequest& pending,
 core::Suggestion SuggestionService::BuildSuggestion(
     const ModelSnapshot& snapshot, const tensor::Matrix& scores, int row,
     const Request& request) {
+  obs::Trace* trace = request.context.trace.get();
+  obs::TraceSpan epilogue_span(trace, obs::Stage::kEpilogue);
   core::Suggestion suggestion;
   suggestion.drugs = core::TopKDrugs(scores, row, request.k);
   suggestion.scores.reserve(suggestion.drugs.size());
   for (int d : suggestion.drugs) suggestion.scores.push_back(scores.At(row, d));
-  if (request.explain) suggestion.explanation = snapshot.ms.Explain(suggestion.drugs);
+  epilogue_span.Stop();
+  if (request.explain) {
+    obs::TraceSpan explain_span(trace, obs::Stage::kExplain);
+    suggestion.explanation = snapshot.ms.Explain(suggestion.drugs);
+  }
   return suggestion;
 }
 

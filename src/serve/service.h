@@ -297,6 +297,8 @@ class SuggestionService {
   /// sweeps) — pass false on the pre-registration fail-fast path, whose
   /// default-constructed key must never be looked up.
   void ExpireRequest(PendingRequest& pending, bool registered = true);
+  /// Top-k drugs and scores for `row` (the epilogue stage), then, if
+  /// the request asks for it, the MS explanation (the explain stage).
   core::Suggestion BuildSuggestion(const ModelSnapshot& snapshot,
                                    const tensor::Matrix& scores, int row,
                                    const Request& request);

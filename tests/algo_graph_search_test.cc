@@ -4,6 +4,7 @@
 #include "algo/bfs.h"
 #include "algo/ctc.h"
 #include "algo/steiner.h"
+#include "algo/truss.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "util/rng.h"
@@ -170,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, SteinerPropertyTest,
 
 TEST(CtcTest, TriangleQueryReturnsTriangle) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const auto ctc = FindClosestTrussCommunity(g, {0, 1});
+  const auto ctc = FindClosestTrussCommunity(g, TrussDecomposition(g), {0, 1});
   EXPECT_TRUE(ctc.found);
   EXPECT_GE(ctc.trussness, 3);
   std::set<int> vertices(ctc.vertices.begin(), ctc.vertices.end());
@@ -181,24 +182,25 @@ TEST(CtcTest, TriangleQueryReturnsTriangle) {
 
 TEST(CtcTest, DisconnectedQueryNotFound) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  const auto ctc = FindClosestTrussCommunity(g, {0, 2});
+  const auto ctc = FindClosestTrussCommunity(g, TrussDecomposition(g), {0, 2});
   EXPECT_FALSE(ctc.found);
 }
 
 TEST(CtcTest, IsolatedSingleQueryVertex) {
   Graph g = Graph::FromEdges(3, {{0, 1}});
-  const auto ctc = FindClosestTrussCommunity(g, {2});
+  const auto ctc = FindClosestTrussCommunity(g, TrussDecomposition(g), {2});
   EXPECT_TRUE(ctc.found);
   EXPECT_EQ(ctc.vertices, (std::vector<int>{2}));
 }
 
 TEST(CtcTest, CommunityContainsQueryAndIsConnected) {
   Graph g = RandomConnectedGraph(40, 0.1, 123);
+  const auto truss = TrussDecomposition(g);
   util::Rng rng(321);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<int> query;
     for (int q : rng.SampleWithoutReplacement(40, 3)) query.push_back(q);
-    const auto ctc = FindClosestTrussCommunity(g, query);
+    const auto ctc = FindClosestTrussCommunity(g, truss, query);
     ASSERT_TRUE(ctc.found);
     std::set<int> vertices(ctc.vertices.begin(), ctc.vertices.end());
     for (int q : query) EXPECT_EQ(vertices.count(q), 1u) << "missing query " << q;
@@ -229,7 +231,7 @@ TEST(CtcTest, DenseCoreBeatsLooseAttachment) {
   edges.emplace_back(4, 5);
   edges.emplace_back(5, 6);
   Graph g = Graph::FromEdges(7, edges);
-  const auto ctc = FindClosestTrussCommunity(g, {0, 3});
+  const auto ctc = FindClosestTrussCommunity(g, TrussDecomposition(g), {0, 3});
   EXPECT_TRUE(ctc.found);
   EXPECT_EQ(ctc.trussness, 5);
   std::set<int> vertices(ctc.vertices.begin(), ctc.vertices.end());

@@ -4,12 +4,15 @@
 #include "algo/truss.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
+#include "truss_oracle.h"
 #include "util/rng.h"
 
 namespace dssddi::algo {
 namespace {
 
 using graph::Graph;
+using testing::IsPTruss;
+using testing::PTrussEdges;
 
 Graph CompleteGraph(int n) {
   std::vector<std::pair<int, int>> edges;
@@ -133,14 +136,62 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrussPropertyTest,
 
 TEST(MaxQueryTrussnessTest, TriangleQuery) {
   Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
-  EXPECT_EQ(MaxQueryTrussness(g, {0, 1}), 3);
-  EXPECT_EQ(MaxQueryTrussness(g, {0, 4}), 2);
-  EXPECT_EQ(MaxQueryTrussness(g, {}), 0);
+  const auto truss = TrussDecomposition(g);
+  EXPECT_EQ(MaxQueryTrussness(g, truss, {0, 1}), 3);
+  EXPECT_EQ(MaxQueryTrussness(g, truss, {0, 4}), 2);
+  EXPECT_EQ(MaxQueryTrussness(g, truss, {}), 0);
 }
 
 TEST(MaxQueryTrussnessTest, DisconnectedQueryReturnsZero) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  EXPECT_EQ(MaxQueryTrussness(g, {0, 2}), 0);
+  EXPECT_EQ(MaxQueryTrussness(g, TrussDecomposition(g), {0, 2}), 0);
+}
+
+// The identity the library relies on instead of peeling: for every p,
+// the maximal p-truss is exactly {e : truss[e] >= p}; and MaxQueryTrussness
+// read off the truss numbers equals the per-p peel loop it replaced.
+void ExpectTrussNumbersMatchPeeling(const Graph& g, uint64_t query_seed) {
+  const auto truss = TrussDecomposition(g);
+  const int max_truss = truss.empty() ? 2 : *std::max_element(truss.begin(), truss.end());
+  EXPECT_EQ(max_truss, testing::PeeledMaxTruss(g));
+  for (int p = 2; p <= max_truss + 1; ++p) {
+    const auto alive = PTrussEdges(g, p);
+    std::vector<char> from_truss(g.num_edges());
+    for (int e = 0; e < g.num_edges(); ++e) from_truss[e] = truss[e] >= p;
+    EXPECT_EQ(from_truss, alive) << "p=" << p;
+  }
+  if (g.num_vertices() == 0) return;
+  util::Rng rng(query_seed);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int size = 1 + static_cast<int>(rng.NextBelow(std::min(5, g.num_vertices())));
+    const auto query = rng.SampleWithoutReplacement(g.num_vertices(), size);
+    EXPECT_EQ(MaxQueryTrussness(g, truss, query), testing::PeeledMaxQueryTrussness(g, query))
+        << "query size " << size << " trial " << trial;
+  }
+}
+
+class TrussOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TrussOracleTest, RandomGraphTrussNumbersMatchPeeling) {
+  const uint64_t seed = GetParam();
+  util::Rng shape(seed);
+  const int n = 8 + static_cast<int>(shape.NextBelow(30));
+  const double p = 0.1 + 0.4 * shape.NextDouble();
+  ExpectTrussNumbersMatchPeeling(RandomGraph(n, p, seed * 7919 + 3), seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, TrussOracleTest, ::testing::Range<uint64_t>(1, 41));
+
+TEST(TrussOracleFixedGraphTest, CompleteGraphsMatchPeeling) {
+  for (int n : {1, 2, 3, 4, 5, 6, 8}) {
+    SCOPED_TRACE("K_" + std::to_string(n));
+    ExpectTrussNumbersMatchPeeling(CompleteGraph(n), 100 + n);
+  }
+}
+
+TEST(TrussOracleFixedGraphTest, EmptyGraphsMatchPeeling) {
+  ExpectTrussNumbersMatchPeeling(Graph::FromEdges(0, {}), 1);
+  ExpectTrussNumbersMatchPeeling(Graph::FromEdges(5, {}), 2);
 }
 
 }  // namespace

@@ -986,6 +986,80 @@ TEST_F(ObsEndToEndTest, TracezShowsPerStageTimingsForATracedRequest) {
   server.Stop();
 }
 
+TEST_F(ObsEndToEndTest, ExplainStageIsStampedOnlyForExplainedRequests) {
+  serve::SuggestionService service(*bundle_, {});
+  net::SuggestFrontendOptions options;
+  options.trace_sample_every = 1;
+  options.server_timing = true;
+  net::SuggestFrontend frontend(&service, options);
+  net::HttpServerOptions server_options;
+  server_options.port = 0;
+  net::HttpServer server(server_options, frontend.AsHandler());
+  ASSERT_TRUE(server.Start().ok);
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok);
+
+  // Two different patients, so neither request is a cache hit; binary
+  // frames carry the explain flag and a pinned trace id.
+  struct Case {
+    int patient;
+    bool explain;
+    uint64_t trace_id;
+  };
+  const Case cases[] = {{dataset_->split.test[0], true, 515151},
+                        {dataset_->split.test[1], false, 525252}};
+  for (const Case& c : cases) {
+    wire::SuggestRequestFrame frame;
+    frame.patient_id = c.patient;
+    frame.k = 3;
+    frame.explain = c.explain;
+    frame.trace_id = c.trace_id;
+    frame.features = PatientFeatures(c.patient);
+    net::ClientRequestOptions request_options;
+    request_options.content_type = wire::kContentType;
+    net::ClientResponse response;
+    ASSERT_TRUE(client
+                    .Request("POST", "/v1/suggest", wire::EncodeSuggestRequest(frame),
+                             request_options, &response)
+                    .ok);
+    ASSERT_EQ(response.status, 200);
+    const std::string* timing = response.FindHeader("Server-Timing");
+    ASSERT_NE(timing, nullptr);
+    EXPECT_EQ(timing->find("explain;dur=") != std::string::npos, c.explain) << *timing;
+    EXPECT_NE(timing->find("epilogue;dur="), std::string::npos) << *timing;
+  }
+
+  // Finalization trails the responses; poll /tracez for both records.
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.explain ? "explained" : "unexplained");
+    bool found = false;
+    for (int attempt = 0; attempt < 100 && !found; ++attempt) {
+      net::ClientResponse tracez;
+      ASSERT_TRUE(client.Request("GET", "/tracez", "", &tracez).ok);
+      net::JsonValue document;
+      std::string error;
+      ASSERT_TRUE(net::ParseJson(tracez.body, &document, &error)) << error;
+      for (const net::JsonValue& item : document.Find("slowest")->Items()) {
+        if (item.Find("trace_id")->AsInt() != static_cast<int64_t>(c.trace_id)) continue;
+        found = true;
+        const net::JsonValue* stages = item.Find("stages_ms");
+        ASSERT_NE(stages, nullptr);
+        const net::JsonValue* explain = stages->Find("explain");
+        if (c.explain) {
+          ASSERT_NE(explain, nullptr) << tracez.body;
+          EXPECT_GT(explain->AsDouble(), 0.0);
+        } else {
+          EXPECT_EQ(explain, nullptr) << tracez.body;
+        }
+        ASSERT_NE(stages->Find("epilogue"), nullptr) << tracez.body;
+      }
+      if (!found) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(found) << "trace " << c.trace_id << " never reached /tracez";
+  }
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------
 // OpenMetrics, exemplars, /logz, /sloz, and the SLO->admission loop
 // ---------------------------------------------------------------------

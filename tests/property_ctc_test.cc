@@ -14,6 +14,7 @@
 #include "graph/graph.h"
 #include "graph/signed_graph.h"
 #include "gtest/gtest.h"
+#include "truss_oracle.h"
 #include "util/rng.h"
 
 namespace dssddi {
@@ -52,7 +53,8 @@ TEST_P(CtcPropertyTest, CommunityIsConnectedPTrussContainingQuery) {
   const Graph g = RandomConnectedGraph(n, p, rng);
   const std::vector<int> query = RandomQuery(n, q, rng);
 
-  const auto community = algo::FindClosestTrussCommunity(g, query);
+  const auto community =
+      algo::FindClosestTrussCommunity(g, algo::TrussDecomposition(g), query);
   ASSERT_TRUE(community.found);
 
   // Contains every query vertex.
@@ -89,12 +91,12 @@ TEST_P(CtcPropertyTest, CommunityIsConnectedPTrussContainingQuery) {
   {
     std::vector<char> alive(g.num_edges(), 0);
     for (int e : community.edge_ids) alive[e] = 1;
-    EXPECT_TRUE(algo::IsPTruss(g, alive, community.trussness));
+    EXPECT_TRUE(testing::IsPTruss(g, alive, community.trussness));
   }
 
   // Trussness is feasible: between 2 and the best achievable for Q.
   EXPECT_GE(community.trussness, 2);
-  EXPECT_LE(community.trussness, algo::MaxQueryTrussness(g, query));
+  EXPECT_LE(community.trussness, testing::PeeledMaxQueryTrussness(g, query));
 
   EXPECT_GE(community.diameter, community.query_distance);
   EXPECT_GE(community.query_distance, 0);
@@ -111,8 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CtcPropertyTest, SingleQueryVertexAlwaysFound) {
   util::Rng rng(77);
   const Graph g = RandomConnectedGraph(20, 0.2, rng);
+  const auto truss = algo::TrussDecomposition(g);
   for (int v = 0; v < g.num_vertices(); ++v) {
-    const auto community = algo::FindClosestTrussCommunity(g, {v});
+    const auto community = algo::FindClosestTrussCommunity(g, truss, {v});
     EXPECT_TRUE(community.found);
     EXPECT_NE(std::find(community.vertices.begin(), community.vertices.end(), v),
               community.vertices.end());
